@@ -315,6 +315,7 @@ def train(
             if len(log.step_losses) < 16:
                 log.step_losses.append(loss.item())
             acc.update(binarize(probs.data), yb)
+            del probs, loss, grads  # free this step's graph before the next forward
 
         val_iou = None
         if val_xy is not None:

@@ -1,7 +1,11 @@
-"""Finite-difference verification of every op, plus analytic spot checks."""
+"""Finite-difference verification of every op, analytic spot checks, and
+convolution and max pooling against independent reference implementations."""
+
+import types
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from vesselseg import autodiff as ad
 from vesselseg.autodiff import Tensor
@@ -246,3 +250,163 @@ def test_dtype_preserved():
     assert ad.sigmoid(a).data.dtype == np.float32
     x = Tensor(np.ones((1, 2, 8, 8), dtype=np.float32))
     assert ad.conv2d(x, w, stride=1, padding=1).data.dtype == np.float32
+
+
+# -- reference implementations -------------------------------------------------
+# An im2col convolution and an argmax max pool: independent oracles for the
+# shifted-GEMM convolution and the phase-split max pool.
+
+
+def _im2col_conv2d(x, weight, bias=None, stride=1, padding=0):
+    d, w = x.data, weight.data
+    n, c_in, h, wid = d.shape
+    c_out, _, kh, kw = w.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (wid + 2 * padding - kw) // stride + 1
+    dp = np.pad(d, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = sliding_window_view(dp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c_in * kh * kw)
+    out_mat = cols @ w.reshape(c_out, -1).T
+    if bias is not None:
+        out_mat = out_mat + bias.data
+    out_data = out_mat.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
+
+    def vjp_x(g):
+        gm = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, c_out)
+        gcols = (gm @ w.reshape(c_out, -1)).reshape(n, oh, ow, c_in, kh, kw)
+        gcols = gcols.transpose(0, 3, 4, 5, 1, 2)
+        gx = np.zeros((n, c_in, h + 2 * padding, wid + 2 * padding), dtype=g.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                gx[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += gcols[:, :, i, j]
+        return gx[:, :, padding : padding + h, padding : padding + wid]
+
+    def vjp_w(g):
+        gm = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, c_out)
+        return (gm.T @ cols).reshape(w.shape)
+
+    inputs = [(x, vjp_x), (weight, vjp_w)]
+    if bias is not None:
+        inputs.append((bias, lambda g: g.sum(axis=(0, 2, 3))))
+    return ad._make(out_data, inputs)
+
+
+def _argmax_max_pool2d(x, kernel=3, stride=2, padding=1):
+    d = x.data
+    n, c, h, w = d.shape
+    oh = (h + 2 * padding - kernel) // stride + 1
+    ow = (w + 2 * padding - kernel) // stride + 1
+    hp, wp = h + 2 * padding, w + 2 * padding
+    dp = np.full((n, c, hp, wp), -np.inf, dtype=d.dtype)
+    dp[:, :, padding : padding + h, padding : padding + w] = d
+    windows = sliding_window_view(dp, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
+    flat = windows.reshape(n, c, oh, ow, kernel * kernel)
+    arg = flat.argmax(axis=-1)
+    out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+
+    def vjp(g):
+        rows = (np.arange(oh) * stride)[None, None, :, None] + arg // kernel
+        colx = (np.arange(ow) * stride)[None, None, None, :] + arg % kernel
+        nn, cc = np.meshgrid(np.arange(n), np.arange(c), indexing="ij")
+        flat_idx = ((nn[:, :, None, None] * c + cc[:, :, None, None]) * hp + rows) * wp + colx
+        gx = np.zeros(n * c * hp * wp, dtype=g.dtype)
+        np.add.at(gx, flat_idx.ravel(), g.ravel())
+        return gx.reshape(n, c, hp, wp)[:, :, padding : padding + h, padding : padding + w]
+
+    return ad._make(out_data, [(x, vjp)])
+
+
+def _value_and_grads(op, arrays, seed, *args):
+    """op's output and the gradients of every input under a fixed random seed."""
+    tensors = [None if a is None else Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = op(*tensors, *args)
+    out.backward(np.random.default_rng(seed).normal(size=out.data.shape).astype(out.data.dtype))
+    return [out.data] + [t.grad for t in tensors if t is not None]
+
+
+@pytest.mark.parametrize("kernel", [1, 3, 7])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1, 3])
+def test_conv2d_matches_im2col_oracle(kernel, stride, padding):
+    rng = np.random.default_rng(kernel * 100 + stride * 10 + padding)
+    for (h, w), c_in, n, bias in [
+        ((9, 7), 1, 1, False),
+        ((9, 7), 3, 3, True),
+        ((8, 11), 64, 1, True),
+        ((7, 9), 64, 3, False),
+        ((10, 10), 3, 1, False),
+        ((9, 9), 1, 3, True),
+    ]:
+        if min(h, w) + 2 * padding < kernel:
+            continue
+        arrays = [
+            rng.normal(size=(n, c_in, h, w)),
+            rng.normal(size=(5, c_in, kernel, kernel)),
+            rng.normal(size=5) if bias else None,
+        ]
+        for dtype in (np.float64, np.float32):
+            typed = [None if a is None else a.astype(dtype) for a in arrays]
+            got = _value_and_grads(ad.conv2d, typed, 7, stride, padding)
+            want = _value_and_grads(_im2col_conv2d, typed, 7, stride, padding)
+            for g, o in zip(got, want):
+                assert g.shape == o.shape and g.dtype == o.dtype == dtype
+                if dtype == np.float64:
+                    np.testing.assert_allclose(g, o, rtol=0, atol=1e-10)
+                else:
+                    assert np.abs(g - o).max() <= 1e-5 * np.abs(o).max()
+
+
+def _closure_bytes(fns) -> int:
+    """Unique ndarray bytes reachable from the closure cells of fns."""
+    buffers, seen = {}, set()
+
+    def visit(v):
+        if id(v) in seen:
+            return
+        seen.add(id(v))
+        if isinstance(v, Tensor):
+            visit(v.data)
+        elif isinstance(v, np.ndarray):
+            while isinstance(v.base, np.ndarray):
+                v = v.base
+            buffers[id(v)] = v.nbytes
+        elif isinstance(v, (list, tuple)):
+            for item in v:
+                visit(item)
+        elif isinstance(v, types.FunctionType):
+            for cell in v.__closure__ or ():
+                visit(cell.cell_contents)
+
+    for fn in fns:
+        visit(fn)
+    return sum(buffers.values())
+
+
+def test_conv2d_tape_holds_no_column_matrix():
+    x = Tensor(RNG.normal(size=(2, 64, 32, 32)).astype(np.float32), requires_grad=True)
+    w = Tensor(RNG.normal(size=(64, 64, 3, 3)).astype(np.float32), requires_grad=True)
+    out = ad.conv2d(x, w, stride=1, padding=1)
+    padded_input = 2 * 64 * 34 * 34 * 4
+    held = _closure_bytes([vjp for _, vjp in out._inputs])
+    assert held <= 1.5 * (padded_input + w.data.nbytes), held
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: rng.normal(size=(2, 3, 8, 8)),
+        lambda rng: rng.normal(size=(1, 2, 9, 7)),
+        lambda rng: np.full((2, 2, 8, 8), 2.5),
+        lambda rng: np.round(rng.normal(size=(2, 3, 9, 9))),  # duplicated maxima
+        lambda rng: np.tile([[1.0, 3.0], [3.0, 1.0]], (1, 1, 4, 5)),
+    ],
+)
+def test_max_pool_matches_argmax_oracle(make):
+    rng = np.random.default_rng(5)
+    x = make(rng)
+    for dtype in (np.float64, np.float32):
+        got = _value_and_grads(ad.max_pool2d, [x.astype(dtype)], 3)
+        want = _value_and_grads(_argmax_max_pool2d, [x.astype(dtype)], 3)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1].dtype == want[1].dtype == dtype
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-5 if dtype == np.float32 else 1e-12, atol=1e-12)

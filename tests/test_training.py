@@ -1,5 +1,7 @@
 """Adam, fold protocol, training determinism, evaluation, gradient check."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,24 @@ def test_train_determinism_first_steps():
     _, log2 = train(cfg, tc, patients)
     assert log1.step_losses[:5] == log2.step_losses[:5]
     assert [e.train_loss for e in log1.entries] == [e.train_loss for e in log2.entries]
+
+
+def test_train_frees_each_step_graph_before_the_next_forward(monkeypatch):
+    """Only one step's graph is alive at a time: the previous step's output
+    is gone by the time the next forward starts."""
+    forward = training_mod.model_forward
+    outputs, alive_at_start = [], []
+
+    def recording_forward(x, ps, mode="eval"):
+        alive_at_start.append(sum(ref() is not None for ref in outputs))
+        out = forward(x, ps, mode=mode)
+        outputs.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(training_mod, "model_forward", recording_forward)
+    train(tiny_config(), TrainConfig(batch_size=2, epochs=1, seed=5), _micro_patients(2))
+    assert len(outputs) == 4
+    assert alive_at_start == [0, 0, 0, 0]
 
 
 def test_train_rejects_wrong_dims():
