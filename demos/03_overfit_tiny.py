@@ -7,11 +7,10 @@ training loss far down and the predicted masks onto the ground truth.
 Run:  python demos/03_overfit_tiny.py
 """
 
-from vesselseg import autodiff as ad
 from vesselseg.losses import bcej_loss, binarize, dice_metric
-from vesselseg.model import model_forward, scaled_config
+from vesselseg.model import predict_probabilities, scaled_config
 from vesselseg.phantom import PhantomSpec, generate
-from vesselseg.training import TrainConfig, build_slice_dataset, train
+from vesselseg.training import TrainConfig, train
 
 spec = PhantomSpec(
     dims=(8, 128, 128), seed=11, trunk_radius_px=44.0, branch_radius_px=14.0, bifurcation_z=6
@@ -25,9 +24,7 @@ checkpoint, log = train(config, train_cfg, [(volume, mask)])
 for entry in log.entries[::40] + [log.entries[-1]]:
     print(f"  epoch {entry.epoch:3d}  loss {entry.train_loss:.4f}  train IoU {entry.train_iou:.4f}")
 
-x, y = build_slice_dataset([(volume, mask)], train_cfg.hu_window)
-with ad.no_grad():
-    probs = model_forward(x, checkpoint.params, mode="eval").data
-print(f"\nfinal train BCEJ {bcej_loss(probs, y):.4f}")
-print(f"final train Dice {dice_metric(binarize(probs), y):.4f}")
+probs = predict_probabilities(checkpoint.params, volume.voxels, train_cfg.hu_window)
+print(f"\nfinal train BCEJ {bcej_loss(probs, mask.voxels):.4f}")
+print(f"final train Dice {dice_metric(binarize(probs), mask.voxels):.4f}")
 print(f"wall clock {log.wall_clock_sec:.0f}s")

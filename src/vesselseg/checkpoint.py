@@ -5,7 +5,8 @@ little-endian u64 header length, UTF-8 JSON header, then contiguous
 float32 tensor data. The header records the architecture config, free-form
 training metadata, and for each tensor its dtype, shape and byte offset
 relative to the start of the data section. Offsets follow the canonical
-manifest order, so save -> load is bit-identical.
+manifest order, so save -> load is bit-identical. Loading rejects byte
+ranges that are negative, out of bounds or overlapping.
 
 A checkpoint holding only encoder.* tensors may be loaded with
 encoder_only=True, in which case every other tensor is freshly
@@ -98,21 +99,31 @@ def load_checkpoint(path: str | Path, encoder_only: bool = False, init_seed: int
             )
 
     data = raw[16 + header_len :]
-    store = init_params(config, init_seed)
+    spans = []  # (start, stop, name) byte range of each tensor in the data section
     for name, spec in tensor_specs.items():
-        if spec.get("dtype") != "f32":
-            raise ManifestMismatch(f"{path}: tensor {name} has dtype {spec.get('dtype')!r}")
-        shape = tuple(spec["shape"])
-        if shape != manifest[name].shape:
+        if not isinstance(spec, dict) or spec.get("dtype") != "f32":
+            raise ManifestMismatch(f"{path}: tensor {name} is not an f32 entry: {spec!r}")
+        shape, start = spec.get("shape"), spec.get("offset")
+        if not isinstance(shape, list) or any(type(s) is not int for s in shape):
+            raise ManifestMismatch(f"{path}: tensor {name} has non-integer shape {shape!r}")
+        if tuple(shape) != manifest[name].shape:
             raise ManifestMismatch(
-                f"{path}: tensor {name} has shape {shape}, manifest wants {manifest[name].shape}"
+                f"{path}: tensor {name} has shape {tuple(shape)}, manifest wants {manifest[name].shape}"
             )
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = spec["offset"]
-        stop = start + 4 * count
-        if stop > len(data):
-            raise ManifestMismatch(f"{path}: data section truncated at tensor {name}")
-        values = np.frombuffer(data[start:stop], dtype="<f4").reshape(shape).copy()
+        nbytes = 4 * int(np.prod(shape))
+        if type(start) is not int or start < 0 or start + nbytes > len(data):
+            raise ManifestMismatch(
+                f"{path}: tensor {name} at offset {start!r} lies outside the {len(data)}-byte data section"
+            )
+        spans.append((start, start + nbytes, name))
+    spans.sort()
+    for (_, stop, first), (start, _, second) in zip(spans, spans[1:]):
+        if start < stop:
+            raise ManifestMismatch(f"{path}: tensors {first} and {second} overlap in the data section")
+
+    store = init_params(config, init_seed)
+    for start, stop, name in spans:
+        values = np.frombuffer(data[start:stop], dtype="<f4").reshape(manifest[name].shape).copy()
         store.tensors[name] = Tensor(values, requires_grad=manifest[name].trainable)
     store.validate_manifest()
     return Checkpoint(config=config, params=store, meta=meta)

@@ -14,12 +14,12 @@ probability map.
 Parameters live in a ParamStore: a flat, canonically ordered mapping from
 tensor name to autodiff Tensor whose names and shapes are fixed by the
 ModelConfig. Batch-norm running statistics are stored as non-trainable
-entries of the same store.
+entries of the same store; a tensor's requires_grad is its trainable flag.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -226,7 +226,6 @@ class ParamStore:
 
     config: ModelConfig
     tensors: dict[str, Tensor]
-    trainable: dict[str, bool] = field(default_factory=dict)
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -241,18 +240,16 @@ class ParamStore:
         return list(self.tensors)
 
     def trainable_names(self) -> list[str]:
-        return [n for n in self.tensors if self.trainable[n]]
+        """Names whose tensors require grad, in canonical order."""
+        return [n for n, t in self.tensors.items() if t.requires_grad]
 
     def zero_grad(self) -> None:
         for t in self.tensors.values():
             t.grad = None
 
     def copy(self) -> "ParamStore":
-        out = {}
-        for name, t in self.tensors.items():
-            c = Tensor(t.data.copy(), requires_grad=t.requires_grad)
-            out[name] = c
-        return ParamStore(self.config, out, dict(self.trainable))
+        out = {n: Tensor(t.data.copy(), requires_grad=t.requires_grad) for n, t in self.tensors.items()}
+        return ParamStore(self.config, out)
 
     def validate_manifest(self) -> None:
         manifest = param_manifest(self.config)
@@ -279,7 +276,6 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParamStore:
     """
     rng = np.random.default_rng(seed)
     tensors: dict[str, Tensor] = {}
-    trainable: dict[str, bool] = {}
     for entry in param_manifest(cfg):
         if entry.init == "kaiming":
             fan_in = int(np.prod(entry.shape[1:]))
@@ -294,8 +290,7 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParamStore:
         else:
             raise ValueError(f"unknown init {entry.init!r}")
         tensors[entry.name] = Tensor(data.astype(dtype), requires_grad=entry.trainable)
-        trainable[entry.name] = entry.trainable
-    return ParamStore(cfg, tensors, trainable)
+    return ParamStore(cfg, tensors)
 
 
 # -- forward passes ---------------------------------------------------------
@@ -454,6 +449,34 @@ def model_forward(x, ps: ParamStore, mode: str = "eval") -> Tensor:
     return ad.transpose(probs, (0, 2, 3, 1))
 
 
+def model_input(hu_slices: np.ndarray, window: HuWindow) -> np.ndarray:
+    """Window a (n, H, W) HU stack into the (n, H, W, 3) float32 model input: one
+    normalize_slice call on the stack, then to_model_input on it as one (n*H, W) slice.
+    """
+    hu_slices = np.asarray(hu_slices)
+    if hu_slices.ndim != 3:
+        raise ShapeMismatch(f"expected an (n, H, W) HU stack, got shape {hu_slices.shape}")
+    n, h, w = hu_slices.shape
+    norm = normalize_slice(hu_slices, window)
+    return to_model_input(norm.reshape(n * h, w)).reshape(n, h, w, 3)
+
+
+def predict_probabilities(
+    ps: ParamStore, hu_slices: np.ndarray, window: HuWindow, batch_size: int = 8
+) -> np.ndarray:
+    """Eval-mode (n, H, W) float32 probabilities of a (n, H, W) HU stack.
+
+    Runs model_input and model_forward under no_grad, batch_size slices at
+    a time, and holds the whole float32 stack (4 B per voxel) it returns.
+    """
+    probs = np.empty(np.shape(hu_slices), dtype=np.float32)
+    with ad.no_grad():
+        for start in range(0, len(probs), batch_size):
+            batch = model_input(hu_slices[start : start + batch_size], window)
+            probs[start : start + batch_size] = model_forward(batch, ps, mode="eval").data[..., 0]
+    return probs
+
+
 def segment_volume(
     ps: ParamStore,
     volume: Volume,
@@ -461,24 +484,12 @@ def segment_volume(
     threshold: float = 0.5,
     batch_size: int = 8,
 ) -> MaskVolume:
-    """Normalize, run every slice through the net in eval mode, binarize."""
+    """Run every slice through the net in eval mode and binarize."""
     cfg = ps.config
     if volume.meta.height != cfg.input_hw or volume.meta.width != cfg.input_hw:
         raise DimensionMismatch(
             f"volume slices are {volume.meta.height}x{volume.meta.width}, "
             f"model wants {cfg.input_hw}x{cfg.input_hw}"
         )
-    nz = volume.meta.num_slices
-    out = np.zeros(volume.meta.shape, dtype=np.uint8)
-    with ad.no_grad():
-        for start in range(0, nz, batch_size):
-            stop = min(start + batch_size, nz)
-            batch = np.stack(
-                [
-                    to_model_input(normalize_slice(volume.voxels[z], window))
-                    for z in range(start, stop)
-                ]
-            )
-            probs = model_forward(batch, ps, mode="eval").data[..., 0]
-            out[start:stop] = binarize(probs, threshold)
-    return MaskVolume(meta=volume.meta, voxels=out)
+    probs = predict_probabilities(ps, volume.voxels, window, batch_size)
+    return MaskVolume(meta=volume.meta, voxels=binarize(probs, threshold))

@@ -36,11 +36,14 @@ from .losses import (
     PatientResult,
     bcej_loss,
     binarize,
+    iou_metric,
     patient_dice,
     patient_iou,
 )
-from .model import ModelConfig, ParamStore, init_params, model_forward, segment_volume
-from .volume_io import HuWindow, MaskVolume, Volume, normalize_slice, to_model_input
+from .model import ModelConfig, ParamStore, init_params, model_forward, model_input
+from .model import predict_probabilities, segment_volume
+from .volume_io import HuWindow, MaskVolume, Volume
+from .volume_io import normalize_slice, to_model_input  # noqa: F401  perfbench wraps them here
 
 Patient = tuple[Volume, MaskVolume]
 
@@ -65,6 +68,8 @@ class TrainConfig:
             raise ValueError("beta1/beta2 must lie in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.epochs < 0 or self.checkpoint_every < 0:
+            raise ValueError(f"epochs/checkpoint_every must be >= 0, got {self.epochs}/{self.checkpoint_every}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -91,20 +96,20 @@ class AdamState:
 def adam_step(
     params: ParamStore, grads: dict[str, np.ndarray], state: AdamState, cfg: TrainConfig
 ) -> tuple[ParamStore, AdamState]:
-    """One bias-corrected Adam update, in place on the parameter store."""
+    """One bias-corrected Adam update in place; a bad gradient changes nothing."""
+    steps = [(n, grads[n]) for n in params.trainable_names() if grads.get(n) is not None]
+    for name, g in steps:
+        want = params.data(name).shape
+        if g.shape != want:
+            raise ShapeMismatch(f"gradient for {name} has shape {g.shape}, want {want}")
+        if not np.isfinite(g).all():
+            raise NonFiniteGradient(f"non-finite gradient in {name}")
     state.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-    for name in params.trainable_names():
-        g = grads.get(name)
-        if g is None:
-            continue
+    for name, g in steps:
         theta = params.data(name)
-        if g.shape != theta.shape:
-            raise ShapeMismatch(f"gradient for {name} has shape {g.shape}, want {theta.shape}")
-        if not np.isfinite(g).all():
-            raise NonFiniteGradient(f"non-finite gradient in {name}")
         m, v = state.m[name], state.v[name]
         m *= b1
         m += (1.0 - b1) * g
@@ -201,21 +206,6 @@ class RunLog:
         return "".join(json.dumps(asdict(e)) + "\n" for e in self.entries)
 
 
-class _IouAccumulator:
-    def __init__(self):
-        self.intersection = 0
-        self.union = 0
-
-    def update(self, pred_bin: np.ndarray, gt: np.ndarray) -> None:
-        p = pred_bin.astype(bool)
-        g = gt.astype(bool)
-        self.intersection += int((p & g).sum())
-        self.union += int((p | g).sum())
-
-    def value(self) -> float:
-        return self.intersection / self.union if self.union else 1.0
-
-
 # -- dataset assembly -----------------------------------------------------------
 
 
@@ -232,32 +222,24 @@ def _check_patient_dims(patients: Sequence[Patient], input_hw: int) -> None:
             )
 
 
+def _pool_slices(patients: Sequence[Patient]) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate every patient's slices: int16 HU and uint8 masks, (n, H, W)."""
+    if not patients:
+        raise EmptyDataset("no training slices")
+    hu = np.concatenate([vol.voxels for vol, _ in patients])
+    masks = np.concatenate([mask.voxels for _, mask in patients])
+    return hu, masks
+
+
 def build_slice_dataset(
     patients: Sequence[Patient], window: HuWindow
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pool every slice of every patient into (n, H, W, 3) / (n, H, W, 1)."""
-    xs, ys = [], []
-    for vol, mask in patients:
-        for z in range(vol.meta.num_slices):
-            xs.append(to_model_input(normalize_slice(vol.voxels[z], window)))
-            ys.append(mask.voxels[z].astype(np.float32)[:, :, None])
-    if not xs:
-        raise EmptyDataset("no training slices")
-    return np.stack(xs), np.stack(ys)
+    """Pool every slice of every patient into (n, H, W, 3) / (n, H, W, 1) float32."""
+    hu, masks = _pool_slices(patients)
+    return model_input(hu, window), masks.astype(np.float32)[..., None]
 
 
 # -- training and evaluation -----------------------------------------------------
-
-
-def _eval_iou(params: ParamStore, x: np.ndarray, y: np.ndarray, batch_size: int) -> float:
-    acc = _IouAccumulator()
-    with ad.no_grad():
-        for start in range(0, len(x), batch_size):
-            xb = x[start : start + batch_size]
-            yb = y[start : start + batch_size]
-            probs = model_forward(xb, params, mode="eval").data
-            acc.update(binarize(probs), yb)
-    return acc.value()
 
 
 def train(
@@ -289,8 +271,9 @@ def train(
         log.wall_clock_sec = time.time() - started
         return Checkpoint(config=model_cfg, params=params, meta=meta), log
 
-    x, y = build_slice_dataset(train_patients, train_cfg.hu_window)
-    val_xy = build_slice_dataset(val_patients, train_cfg.hu_window) if val_patients else None
+    hu, masks = _pool_slices(train_patients)
+    val_hu, val_masks = _pool_slices(val_patients) if val_patients else (None, None)
+    pred = np.zeros_like(masks)  # this epoch's binarized train predictions
 
     state = AdamState.for_params(params)
     rng = np.random.default_rng(train_cfg.seed)
@@ -299,14 +282,13 @@ def train(
     best_epoch = 0
 
     for epoch in range(train_cfg.epochs):
-        order = rng.permutation(len(x)) if train_cfg.shuffle else np.arange(len(x))
+        order = rng.permutation(len(hu)) if train_cfg.shuffle else np.arange(len(hu))
         losses = []
-        acc = _IouAccumulator()
         for start in range(0, len(order), train_cfg.batch_size):
             idx = order[start : start + train_cfg.batch_size]
-            xb, yb = x[idx], y[idx]
+            yb = masks[idx].astype(np.float32)[..., None]
             params.zero_grad()
-            probs = model_forward(xb, params, mode="train")
+            probs = model_forward(model_input(hu[idx], train_cfg.hu_window), params, mode="train")
             loss = bcej_loss(probs, Tensor(yb))
             loss.backward()
             grads = {n: params[n].grad for n in params.trainable_names() if params[n].grad is not None}
@@ -314,12 +296,13 @@ def train(
             losses.append(loss.item())
             if len(log.step_losses) < 16:
                 log.step_losses.append(loss.item())
-            acc.update(binarize(probs.data), yb)
+            pred[idx] = binarize(probs.data[..., 0])
             del probs, loss, grads  # free this step's graph before the next forward
 
         val_iou = None
-        if val_xy is not None:
-            val_iou = _eval_iou(params, val_xy[0], val_xy[1], train_cfg.batch_size)
+        if val_hu is not None:
+            val_probs = predict_probabilities(params, val_hu, train_cfg.hu_window, train_cfg.batch_size)
+            val_iou = iou_metric(binarize(val_probs), val_masks)
             if val_iou > best_val:
                 best_val = val_iou
                 best_params = params.copy()
@@ -328,7 +311,7 @@ def train(
             EpochStats(
                 epoch=epoch,
                 train_loss=float(np.mean(losses)),
-                train_iou=acc.value(),
+                train_iou=iou_metric(pred, masks),
                 val_iou=val_iou,
             )
         )
@@ -398,9 +381,6 @@ def cross_validate(
     plan = make_folds(sorted(by_id), fold_sizes=fold_sizes, val_per_fold=val_per_fold)
     reports = []
     for fold in plan.folds:
-        leak = set(fold.train_ids) & (set(fold.val_ids) | set(fold.test_ids))
-        if leak:
-            raise SizeMismatch(f"fold leaks patients {sorted(leak)}")
         ckpt, _ = train(
             model_cfg,
             train_cfg,

@@ -30,6 +30,7 @@ from vesselseg.model import (
     encoder_forward,
     init_params,
     model_forward,
+    predict_probabilities,
     scaled_config,
     tiny_config,
 )
@@ -284,18 +285,6 @@ def test_criterion_7_phantom_study(study):
     )
 
 
-def _probability_volume(params, volume, window):
-    probs = np.zeros(volume.meta.shape, dtype=np.float32)
-    with ad.no_grad():
-        for start in range(0, volume.meta.num_slices, 8):
-            stop = min(start + 8, volume.meta.num_slices)
-            batch = np.stack(
-                [to_model_input(normalize_slice(volume.voxels[z], window)) for z in range(start, stop)]
-            )
-            probs[start:stop] = model_forward(batch, params, mode="eval").data[..., 0]
-    return probs
-
-
 def _bone_only_mask(spec):
     nz, ny, nx = spec.dims
     xx, yy = np.meshgrid(np.arange(nx, dtype=float), np.arange(ny, dtype=float))
@@ -330,7 +319,7 @@ def test_criterion_8_baseline_contrast(study):
         assert lost[0].z == onset
         assert tracked.voxels[onset:].sum() == 0, "tracker must stay empty after the occlusion"
         tracker_dice = patient_dice(tracked, mask)
-        model_pred = binarize(_probability_volume(ckpt.params, vol, window))
+        model_pred = binarize(predict_probabilities(ckpt.params, vol.voxels, window))
         model_dice = dice_metric(model_pred, mask.voxels)
         assert tracker_dice < model_dice, (
             f"{spec.patient_id}: tracker {tracker_dice:.4f} !< model {model_dice:.4f}"
@@ -354,7 +343,7 @@ def test_criterion_8_baseline_contrast(study):
     bone_only = _bone_only_mask(bone_spec)
     assert tracked.voxels[bone_only].sum() > 0, "tracker region must include bone pixels"
 
-    probs = _probability_volume(ckpt.params, bone_vol, window)
+    probs = predict_probabilities(ckpt.params, bone_vol.voxels, window)
     best_thr, best_dice = 0.5, -1.0
     for thr in np.linspace(0.1, 0.9, 17):
         d = dice_metric(binarize(probs, thr), bone_mask.voxels)

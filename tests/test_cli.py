@@ -155,6 +155,15 @@ def test_gradcheck_command(capsys):
     assert out["max_rel_err"] <= 1e-4
 
 
+def test_train_negative_epochs_exits_1(trained, tmp_path, capsys):
+    root, data, _ = trained
+    result = run("train", "--data", str(data), "--config", str(root / "cfg.json"),
+                 "--out", str(tmp_path / "run"), "--epochs", "-1")
+    err = capsys.readouterr().err
+    assert result.exit_code == 1
+    assert "epochs" in err and "Traceback" not in err
+
+
 def test_bad_usage_exit_codes(tmp_path, capsys):
     assert run("phantom", "--nope").exit_code == 1
     assert run("phantom").exit_code == 1  # missing --out

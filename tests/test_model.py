@@ -1,5 +1,8 @@
 """Network wiring: shapes, attention behavior, ablation, checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,8 @@ from vesselseg.errors import (
     ShapeMismatch,
     VersionMismatch,
 )
+from vesselseg.cli import dispatch
+from vesselseg.losses import binarize
 from vesselseg.model import (
     ModelConfig,
     bridge_forward,
@@ -21,15 +26,17 @@ from vesselseg.model import (
     encoder_forward,
     init_params,
     model_forward,
+    model_input,
     multi_head_attention,
     param_manifest,
+    predict_probabilities,
     scaled_config,
     segment_volume,
     tiny_config,
     transformer_layer,
 )
 from vesselseg.phantom import PhantomSpec, generate
-from vesselseg.volume_io import HuWindow
+from vesselseg.volume_io import HuWindow, normalize_slice, save_mask, save_volume, to_model_input
 
 RNG = np.random.default_rng(5150)
 
@@ -372,3 +379,125 @@ def test_encoder_only_checkpoint(tmp_path):
     for name in loaded.params.names():
         if not name.startswith("encoder."):
             assert np.array_equal(loaded.params.data(name), fresh.data(name))
+
+
+# -- the slice-to-input and probability paths ----------------------------------------
+
+
+def _oracle_input(hu, window):
+    return np.stack([to_model_input(normalize_slice(s, window)) for s in hu])
+
+
+@pytest.mark.parametrize("window", [HuWindow(), HuWindow(-1024.0, 3071.0), HuWindow(-150.5, 250.25)])
+def test_model_input_matches_per_slice_path(window):
+    edges = [-32768, 32767, -1, 0, 1, int(window.lo), int(window.hi), int(window.lo) - 1, int(window.hi) + 1]
+    hu = RNG.integers(-32768, 32768, size=(5, 6, 4)).astype(np.int16)
+    hu.reshape(-1)[: len(edges)] = edges
+    x = model_input(hu, window)
+    oracle = _oracle_input(hu, window)
+    assert x.shape == (5, 6, 4, 3) and x.dtype == np.float32
+    assert x.tobytes() == oracle.tobytes()
+    assert x.min() == 0.0 and x.max() == 1.0
+    with pytest.raises(ShapeMismatch):
+        model_input(hu[0], window)
+
+
+def test_predict_probabilities_matches_batched_forward():
+    ps = init_params(small_cfg(hw=32), 4)
+    vol, _ = generate(PhantomSpec(dims=(7, 32, 32), seed=8))
+    window = HuWindow()
+    probs = predict_probabilities(ps, vol.voxels, window, batch_size=3)
+    x = _oracle_input(vol.voxels, window)
+    with ad.no_grad():
+        oracle = np.concatenate(
+            [model_forward(x[s : s + 3], ps, mode="eval").data[..., 0] for s in (0, 3, 6)]
+        )
+    assert probs.shape == (7, 32, 32) and probs.dtype == np.float32
+    assert probs.tobytes() == oracle.tobytes()
+
+
+def test_segment_volume_is_binarized_probabilities():
+    ps = init_params(small_cfg(hw=32), 2)
+    vol, _ = generate(PhantomSpec(dims=(5, 32, 32), seed=9))
+    window = HuWindow()
+    probs = predict_probabilities(ps, vol.voxels, window)
+    threshold = float(np.median(probs))
+    mask = segment_volume(ps, vol, window, threshold=threshold)
+    expected = binarize(probs, threshold)
+    assert 0 < expected.sum() < expected.size
+    assert mask.voxels.dtype == np.uint8
+    np.testing.assert_array_equal(mask.voxels, expected)
+
+
+def test_trainable_names_follow_the_manifest(tmp_path):
+    cfg = small_cfg(hw=32)
+    trainable = [e.name for e in param_manifest(cfg) if e.trainable]
+    ps = init_params(cfg, 0)
+    assert ps.trainable_names() == trainable
+    assert ps.copy().trainable_names() == trainable
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(Checkpoint(config=cfg, params=ps), path)
+    assert load_checkpoint(path).params.trainable_names() == trainable
+    encoder = [n for n in ps.names() if n.startswith("encoder.")]
+    save_checkpoint(Checkpoint(config=cfg, params=ps), path, names=encoder)
+    assert load_checkpoint(path, encoder_only=True).params.trainable_names() == trainable
+
+
+# -- checkpoint byte ranges -----------------------------------------------------------
+
+
+def _edit_header(src, dst, edit):
+    """Copy a checkpoint, passing its parsed JSON header through edit()."""
+    raw = src.read_bytes()
+    (header_len,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + header_len])
+    edit(header["tensors"], len(raw) - 16 - header_len)
+    new = json.dumps(header).encode("utf-8")
+    dst.write_bytes(raw[:8] + struct.pack("<Q", len(new)) + new + raw[16 + header_len :])
+
+
+def _negative_offset(tensors, data_len):
+    tensors["encoder.stem.conv.weight"]["offset"] = -4
+
+
+def _offset_past_end(tensors, data_len):
+    tensors["head.conv.bias"]["offset"] = data_len
+
+
+def _fractional_offset(tensors, data_len):
+    tensors["encoder.stem.conv.weight"]["offset"] = 0.5
+
+
+def _aliased_offsets(tensors, data_len):
+    tensors["encoder.stem.bn.beta"]["offset"] = tensors["encoder.stem.bn.gamma"]["offset"]
+
+
+def _float_shape(tensors, data_len):
+    tensors["encoder.stem.conv.weight"]["shape"][1] = 3.0
+
+
+def _bool_shape(tensors, data_len):
+    tensors["head.conv.bias"]["shape"] = [True]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_negative_offset, _offset_past_end, _fractional_offset, _aliased_offsets, _float_shape, _bool_shape],
+)
+def test_checkpoint_rejects_bad_tensor_entries(tmp_path, capsys, edit):
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(_small_checkpoint(), good)
+    load_checkpoint(good)
+    bad = tmp_path / "bad.ckpt"
+    _edit_header(good, bad, edit)
+    with pytest.raises(ManifestMismatch):
+        load_checkpoint(bad)
+
+    vol, mask = generate(PhantomSpec(dims=(2, 32, 32), seed=1))
+    save_volume(vol, tmp_path / "p")
+    save_mask(mask, tmp_path / "p")
+    result = dispatch(["eval", "--ckpt", str(bad), "--data", str(tmp_path / "p"),
+                       "--report", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert result.exit_code == 1
+    assert "Traceback" not in err and "bad.ckpt" in err

@@ -40,7 +40,6 @@ def _single_param_store(theta):
     store = ParamStore(
         cfg,
         {"w": Tensor(np.array(theta, dtype=np.float64), requires_grad=True)},
-        {"w": True},
     )
     return store
 
@@ -83,6 +82,31 @@ def test_adam_error_paths():
         adam_step(store, {"w": np.zeros(2)}, state, TrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize("fault", ["nan", "shape"])
+def test_adam_bad_last_gradient_changes_nothing(fault):
+    params = init_params(tiny_config(), 0)
+    state = AdamState.for_params(params)
+    cfg = TrainConfig(learning_rate=1e-2, epochs=1)
+    rng = np.random.default_rng(3)
+    grads = {n: rng.normal(size=params.data(n).shape).astype(np.float32) for n in params.trainable_names()}
+    adam_step(params, grads, state, cfg)
+    before = params.copy()
+    m, v, t = {n: a.copy() for n, a in state.m.items()}, {n: a.copy() for n, a in state.v.items()}, state.t
+
+    last = params.trainable_names()[-1]
+    if fault == "nan":
+        grads[last].flat[-1] = np.nan
+    else:
+        grads[last] = np.zeros(grads[last].size + 1, dtype=np.float32)
+    with pytest.raises(NonFiniteGradient if fault == "nan" else ShapeMismatch):
+        adam_step(params, grads, state, cfg)
+    assert state.t == t
+    for name in params.names():
+        assert np.array_equal(params.data(name), before.data(name)), name
+    for name in m:
+        assert np.array_equal(state.m[name], m[name]) and np.array_equal(state.v[name], v[name]), name
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
@@ -90,6 +114,10 @@ def test_train_config_validation():
         TrainConfig(beta1=1.0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    with pytest.raises(ValueError):
+        TrainConfig(epochs=-1)
+    with pytest.raises(ValueError):
+        TrainConfig(checkpoint_every=-1)
 
 
 def test_make_folds_protocol():
