@@ -7,18 +7,27 @@ needs: elementwise arithmetic, matmul, convolution, max pooling,
 batch/layer norm, the usual activations, nearest-neighbor upsampling,
 concat and shape moves.
 
+Backward consumes the graph: each non-leaf node drops its vjps and its
+.grad as soon as its vjps have run, so the memory behind it is freed
+during the walk, and only leaves keep .grad. Each activation sits on the
+tape once. The convolution and batch-norm vjps keep only their inputs'
+data, which the input tensors hold anyway, and per-channel state; they
+rebuild the phase buffer, the tap weights and the normalized input at
+backward time. Relu keeps a bool mask and max pooling one byte per output.
+Vjps read parameter data at backward time.
+
 Convolution uses cross-correlation semantics (no kernel flip) and builds
 no im2col matrix: it sums one GEMM per kernel tap (one GEMM over all taps
 when the input has fewer than 64 channels) over shifted slices of a
-phase-split padded copy of the input, and its vjps keep only that copy.
-Max pooling reads the same phase split, one np.maximum per window
-position. All ops
-preserve the input dtype, so the same graph runs in float32 for training
-and float64 for finite-difference verification.
+phase-split padded copy of the input. Max pooling reads the same phase
+split, one np.maximum per window position. All ops preserve the input
+dtype, so the same graph runs in float32 for training and float64 for
+finite-difference verification.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -77,7 +86,15 @@ class Tensor:
 
     # -- graph ----------------------------------------------------------
     def backward(self, grad: np.ndarray | None = None):
-        """Accumulate d(self)/d(leaf) into every reachable leaf's .grad."""
+        """Accumulate d(self)/d(leaf) into every reachable leaf's .grad.
+
+        Backward consumes the graph. Nodes run in reverse topological order,
+        and once a non-leaf node's vjps have run it drops its _inputs and its
+        .grad, so the vjp closures and activations behind it are freed during
+        the walk. Only leaves keep .grad; a second call on the consumed graph
+        reaches no leaf. Vjps read parameter data at backward time, so a
+        parameter must not change between forward and backward.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ShapeMismatch("backward() without a seed needs a scalar output")
@@ -100,15 +117,19 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
 
-        for node in reversed(order):
-            if node.grad is None:
-                continue
-            for parent, vjp in node._inputs:
-                g = vjp(node.grad)
-                if parent.grad is None:
-                    parent.grad = g
-                else:
-                    parent.grad = parent.grad + g
+        while order:
+            node = order.pop()
+            if not node._inputs:
+                continue  # a leaf keeps its .grad
+            if node.grad is not None:
+                for parent, vjp in node._inputs:
+                    g = vjp(node.grad)
+                    if parent.grad is None:
+                        parent.grad = g
+                    else:
+                        parent.grad = parent.grad + g
+            node._inputs = []
+            node.grad = None
 
     # -- operator sugar ---------------------------------------------------
     def __add__(self, other):
@@ -337,13 +358,19 @@ def sigmoid(x) -> Tensor:
 
 
 def gelu(x) -> Tensor:
-    """Exact Gaussian-error-linear unit: 0.5 x (1 + erf(x / sqrt(2)))."""
+    """Exact Gaussian-error-linear unit: 0.5 x (1 + erf(x / sqrt(2))).
+
+    The constants are Python floats, so a float32 input is computed in float32.
+    """
     x = as_tensor(x)
     d = x.data
-    cdf = 0.5 * (1.0 + erf(d / np.sqrt(2.0)))
-    pdf = np.exp(-0.5 * d * d) / np.sqrt(2.0 * np.pi)
-    out_data = (d * cdf).astype(d.dtype, copy=False)
-    return _make(out_data, [(x, lambda g: g * (cdf + d * pdf).astype(d.dtype, copy=False))])
+    cdf = 0.5 * (1.0 + erf(d / math.sqrt(2.0)))
+
+    def vjp(g):
+        pdf = np.exp(-0.5 * d * d) / math.sqrt(2.0 * math.pi)
+        return g * (cdf + d * pdf)
+
+    return _make(d * cdf, [(x, vjp)])
 
 
 def softmax(x) -> Tensor:
@@ -395,26 +422,35 @@ def batch_norm(
         running_var *= momentum
         running_var += (1.0 - momentum) * var
     else:
-        mean = running_mean.astype(d.dtype, copy=False)
+        # a copy, so a later train-mode forward cannot move the mean backward reads
+        mean = running_mean.astype(d.dtype)
         var = running_var.astype(d.dtype, copy=False)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (d - mean.reshape(shape)) * inv.reshape(shape)
-    out_data = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
+
+    def xhat():  # recomputed by the vjps, so only the input stays on the tape
+        xh = d - mean.reshape(shape)
+        xh *= inv.reshape(shape)
+        return xh
+
+    out_data = xhat()  # one buffer for the whole affine map
+    out_data *= gamma.data.reshape(shape)
+    out_data += beta.data.reshape(shape)
 
     def vjp_x(g):
         gxhat = g * gamma.data.reshape(shape)
         if not training:
             return gxhat * inv.reshape(shape)
+        xh = xhat()
         n = d.shape[0] * d.shape[2] * d.shape[3]
         s1 = gxhat.sum(axis=axes).reshape(shape)
-        s2 = (gxhat * xhat).sum(axis=axes).reshape(shape)
-        return (inv.reshape(shape) / n) * (n * gxhat - s1 - xhat * s2)
+        s2 = (gxhat * xh).sum(axis=axes).reshape(shape)
+        return (inv.reshape(shape) / n) * (n * gxhat - s1 - xh * s2)
 
     return _make(
-        out_data.astype(d.dtype, copy=False),
+        out_data,
         [
             (x, vjp_x),
-            (gamma, lambda g: (g * xhat).sum(axis=axes)),
+            (gamma, lambda g: (g * xhat()).sum(axis=axes)),
             (beta, lambda g: g.sum(axis=axes)),
         ],
     )
@@ -527,10 +563,11 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     (i, j) then reads one contiguous slice of one phase, and the output is
     the sum over taps of W[:, :, i, j] @ phase[..., off : off + oh * pw],
     whose pw - ow wrap-around columns per row are dropped at the end. Taps
-    are grouped into GEMMs as _tap_groups describes. Backward recomputes the
-    same slices from the retained phase buffer: the input gradient
-    accumulates W_g^T @ g into a buffer shaped like the phases, and the
-    weight gradient is g @ slice^T, with g zero in the wrap-around columns.
+    are grouped into GEMMs as _tap_groups describes. The vjps keep only the
+    input data and the weight parameter. The input gradient rebuilds each
+    W_g from the weight and accumulates W_g^T @ g into a buffer shaped like
+    the phases; the weight gradient re-splits the input and computes
+    g @ slice^T, with g zero in the wrap-around columns.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     d, w = x.data, weight.data
@@ -544,24 +581,31 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     if oh < 1 or ow < 1:
         raise ShapeMismatch(f"conv2d output would be empty for input {d.shape}, kernel {kh}")
     dtype = np.result_type(d.dtype, w.dtype)
-    in_shape, w_shape, w_dtype = d.shape, w.shape, w.dtype  # the vjps hold X, not d
+    spare = (kw - 1) // s
 
-    X, grid, phases, spans = _phase_split(d, kh, kw, s, padding, (kw - 1) // s, 0, dtype)
+    X, grid, phases, spans = _phase_split(d, kh, kw, s, padding, spare, 0, dtype)
     pw = grid[1]
     L = oh * pw
-    groups = []  # (per tap: phase index and flat offset, W_g as (c_out, K), taps)
-    wt = w.transpose(2, 3, 0, 1).astype(dtype, copy=False)
-    for taps in _tap_groups(c_in, kh, kw):
-        slices = [(phases.index((i % s, j % s)), (i // s) * pw + j // s) for i, j in taps]
-        groups.append((slices, np.concatenate([wt[i, j] for i, j in taps], axis=1), taps))
+    groups = _tap_groups(c_in, kh, kw)
 
-    def stacked(slices):
-        views = [X[:, k, :, off : off + L] for k, off in slices]
+    def offsets(taps):  # per tap, the phase index and flat offset it reads
+        return [(phases.index((i % s, j % s)), (i // s) * pw + j // s) for i, j in taps]
+
+    def stacked(X, taps):  # the slices of X the taps read, stacked along K
+        views = [X[:, k, :, off : off + L] for k, off in offsets(taps)]
         return views[0] if len(views) == 1 else np.concatenate(views, axis=1)
 
-    acc = np.matmul(groups[0][1], stacked(groups[0][0]))
-    for slices, wg, _ in groups[1:]:
-        acc += np.matmul(wg, stacked(slices))
+    def tap_weights():  # per group, W_g as one contiguous (c_out, K) matrix
+        wt = weight.data.transpose(2, 3, 0, 1).astype(dtype, copy=False)
+        for taps in groups:
+            yield np.concatenate([wt[i, j] for i, j in taps], axis=1)
+
+    pairs = zip(groups, tap_weights())
+    taps, wg = next(pairs)
+    acc = np.matmul(wg, stacked(X, taps))
+    for taps, wg in pairs:
+        acc += np.matmul(wg, stacked(X, taps))
+    del X
     out_data = acc.reshape(n, c_out, oh, pw)[:, :, :, :ow]
     if bias is not None:
         bias = as_tensor(bias)
@@ -576,18 +620,19 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
 
     def vjp_x(g):
         gp = padded(g)
-        gX = np.zeros_like(X)
-        for slices, wg, _ in groups:
+        gX = np.zeros((n, len(phases), c_in, grid[0] * pw + spare), dtype)
+        for taps, wg in zip(groups, tap_weights()):
             gv = np.matmul(wg.T, gp)
-            for t, (k, off) in enumerate(slices):
+            for t, (k, off) in enumerate(offsets(taps)):
                 gX[:, k, :, off : off + L] += gv[:, t * c_in : (t + 1) * c_in]
-        return _phase_merge(gX, grid, spans, in_shape, s)
+        return _phase_merge(gX, grid, spans, d.shape, s)
 
     def vjp_w(g):
         gp = padded(g)
-        gw = np.empty(w_shape, w_dtype)
-        for slices, _, taps in groups:
-            gwg = np.matmul(gp, stacked(slices).transpose(0, 2, 1)).sum(axis=0)
+        X = _phase_split(d, kh, kw, s, padding, spare, 0, dtype)[0]
+        gw = np.empty(weight.data.shape, weight.data.dtype)
+        for taps in groups:
+            gwg = np.matmul(gp, stacked(X, taps).transpose(0, 2, 1)).sum(axis=0)
             for t, (i, j) in enumerate(taps):
                 gw[:, :, i, j] = gwg[:, t * c_in : (t + 1) * c_in]
         return gw
@@ -603,8 +648,10 @@ def max_pool2d(x, kernel: int = 3, stride: int = 2, padding: int = 1) -> Tensor:
 
     The -inf-padded input is split into stride phases (_phase_split), so
     every window position is a unit-stride view, and forward is one
-    np.maximum per window position. Backward routes each output's gradient
-    to the first window position, in row-major order, that holds the max.
+    np.maximum per window position. When x is on a grad path, forward also
+    records which window position first holds the max, in row-major order
+    (one byte per output), and backward scatters each output's gradient
+    there with np.add.at; no phase buffer stays on the tape.
     """
     x = as_tensor(x)
     d = x.data
@@ -618,34 +665,31 @@ def max_pool2d(x, kernel: int = 3, stride: int = 2, padding: int = 1) -> Tensor:
     ow = _conv_out_size(w, kernel, s, padding)
     taps = [(i, j) for i in range(kernel) for j in range(kernel)]
 
-    def split():
-        return _phase_split(d, kernel, kernel, s, padding, 0, -np.inf, d.dtype)
+    X, grid, phases, _ = _phase_split(d, kernel, kernel, s, padding, 0, -np.inf, d.dtype)
 
-    X, grid, phases, spans = split()
-
-    def tap(A, i, j):
+    def tap(i, j):
         k = phases.index((i % s, j % s))
-        return _grid(A[:, k], *grid)[:, :, i // s : i // s + oh, j // s : j // s + ow]
+        return _grid(X[:, k], *grid)[:, :, i // s : i // s + oh, j // s : j // s + ow]
 
-    out_data = tap(X, 0, 0).copy()
-    for i, j in taps[1:]:
-        np.maximum(out_data, tap(X, i, j), out=out_data)
+    out_data = tap(0, 0).copy()
+    on_tape = _grad_enabled and (x.requires_grad or bool(x._inputs))
+    first = np.zeros(out_data.shape, np.min_scalar_type(len(taps) - 1)) if on_tape else None
+    for t, (i, j) in enumerate(taps[1:], 1):
+        if on_tape:  # move the argmax only on a strictly larger value, so ties keep the first
+            first ^= (first ^ t) * (tap(i, j) > out_data)
+        np.maximum(out_data, tap(i, j), out=out_data)
     del X
 
     def vjp(g):
-        X = split()[0]
-        gX = np.zeros(X.shape, g.dtype)
-        unclaimed = np.ones(out_data.shape, dtype=bool)
-        hit = np.empty(out_data.shape, dtype=bool)
-        routed = np.empty(out_data.shape, dtype=g.dtype)
-        for i, j in taps:
-            np.equal(tap(X, i, j), out_data, out=hit)
-            hit &= unclaimed
-            unclaimed ^= hit
-            np.multiply(g, hit, out=routed)  # a non-finite g spreads over its window
-            window = tap(gX, i, j)
-            window += routed
-        return _phase_merge(gX, grid, spans, d.shape, s)
+        # Output (oy, ox) adds its gradient at padded pixel (s*oy + i, s*ox + j),
+        # (i, j) its recorded tap. Scattered in reverse output order, each pixel
+        # sums its gradients in row-major tap order.
+        hp, wp = h + 2 * padding, w + 2 * padding
+        dest = np.arange(n * c).reshape(n, c, 1, 1) * (hp * wp) + s * wp * np.arange(oh).reshape(oh, 1)
+        dest = dest + s * np.arange(ow) + np.array([i * wp + j for i, j in taps])[first]
+        gp = np.zeros(n * c * hp * wp, g.dtype)
+        np.add.at(gp, dest.ravel()[::-1], g.ravel()[::-1])
+        return gp.reshape(n, c, hp, wp)[:, :, padding : padding + h, padding : padding + w]
 
     return _make(out_data, [(x, vjp)])
 

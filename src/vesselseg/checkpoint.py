@@ -5,8 +5,9 @@ little-endian u64 header length, UTF-8 JSON header, then contiguous
 float32 tensor data. The header records the architecture config, free-form
 training metadata, and for each tensor its dtype, shape and byte offset
 relative to the start of the data section. Offsets follow the canonical
-manifest order, so save -> load is bit-identical. Loading rejects byte
-ranges that are negative, out of bounds or overlapping.
+manifest order, so save -> load is bit-identical. Saving replaces the file
+atomically. Loading rejects byte ranges that are negative, out of bounds
+or overlapping.
 
 A checkpoint holding only encoder.* tensors may be loaded with
 encoder_only=True, in which case every other tensor is freshly
@@ -16,6 +17,7 @@ initialized; this is the hook for pretrained-encoder weights.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,30 +42,40 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path, names: list[str] | None = None) -> None:
-    """Serialize the checkpoint; names limits the tensor subset (e.g. encoder.*)."""
+    """Serialize the checkpoint; names limits the tensor subset (e.g. encoder.*).
+
+    The bytes go to a temporary file in the same directory, which is fsynced
+    and then renamed over path, so a writer that fails part-way leaves any
+    previous file at path as it was.
+    """
     path = Path(path)
     store = ckpt.params
     selected = names if names is not None else store.names()
     tensors = {}
-    blobs = []
     offset = 0
     for name in selected:
-        data = store.data(name).astype("<f4")
-        blob = data.tobytes()
-        tensors[name] = {"dtype": "f32", "shape": list(data.shape), "offset": offset}
-        blobs.append(blob)
-        offset += len(blob)
+        shape = store.data(name).shape
+        tensors[name] = {"dtype": "f32", "shape": list(shape), "offset": offset}
+        offset += 4 * int(np.prod(shape))
     header = json.dumps(
         {"config": ckpt.config.to_dict(), "meta": ckpt.meta, "tensors": tensors}
     ).encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<Q", len(header)))
+            fh.write(header)
+            for name in selected:
+                fh.write(np.ascontiguousarray(store.data(name), dtype="<f4"))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path, encoder_only: bool = False, init_seed: int = 0) -> Checkpoint:

@@ -10,6 +10,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from vesselseg import autodiff as ad
 from vesselseg.autodiff import Tensor
 from vesselseg.errors import ShapeMismatch
+from vesselseg.losses import bcej_loss
+from vesselseg.model import init_params, model_forward, tiny_config
 
 RNG = np.random.default_rng(20240101)
 
@@ -356,9 +358,15 @@ def test_conv2d_matches_im2col_oracle(kernel, stride, padding):
                     assert np.abs(g - o).max() <= 1e-5 * np.abs(o).max()
 
 
-def _closure_bytes(fns) -> int:
-    """Unique ndarray bytes reachable from the closure cells of fns."""
-    buffers, seen = {}, set()
+def _base(a: np.ndarray) -> np.ndarray:
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _closure_arrays(fns) -> list:
+    """Every ndarray (as the buffer it views) reachable from the closure cells of fns."""
+    found, seen = {}, set()
 
     def visit(v):
         if id(v) in seen:
@@ -367,9 +375,7 @@ def _closure_bytes(fns) -> int:
         if isinstance(v, Tensor):
             visit(v.data)
         elif isinstance(v, np.ndarray):
-            while isinstance(v.base, np.ndarray):
-                v = v.base
-            buffers[id(v)] = v.nbytes
+            found[id(_base(v))] = _base(v)
         elif isinstance(v, (list, tuple)):
             for item in v:
                 visit(item)
@@ -379,7 +385,7 @@ def _closure_bytes(fns) -> int:
 
     for fn in fns:
         visit(fn)
-    return sum(buffers.values())
+    return list(found.values())
 
 
 def test_conv2d_tape_holds_no_column_matrix():
@@ -387,7 +393,7 @@ def test_conv2d_tape_holds_no_column_matrix():
     w = Tensor(RNG.normal(size=(64, 64, 3, 3)).astype(np.float32), requires_grad=True)
     out = ad.conv2d(x, w, stride=1, padding=1)
     padded_input = 2 * 64 * 34 * 34 * 4
-    held = _closure_bytes([vjp for _, vjp in out._inputs])
+    held = sum(a.nbytes for a in _closure_arrays([vjp for _, vjp in out._inputs]))
     assert held <= 1.5 * (padded_input + w.data.nbytes), held
 
 
@@ -410,3 +416,97 @@ def test_max_pool_matches_argmax_oracle(make):
         np.testing.assert_array_equal(got[0], want[0])
         assert got[1].dtype == want[1].dtype == dtype
         np.testing.assert_allclose(got[1], want[1], rtol=1e-5 if dtype == np.float32 else 1e-12, atol=1e-12)
+
+
+def test_gelu_computes_float32_in_float32():
+    x = Tensor(np.linspace(-6.0, 6.0, 241, dtype=np.float32), requires_grad=True)
+    out = ad.gelu(x)
+    ad.tsum(out).backward()
+    assert out.data.dtype == x.grad.dtype == np.float32
+    assert all(a.dtype == np.float32 for a in _closure_arrays([vjp for _, vjp in out._inputs]))
+    ref = Tensor(x.data.astype(np.float64), requires_grad=True)
+    ref_out = ad.gelu(ref)
+    ad.tsum(ref_out).backward()
+    np.testing.assert_allclose(out.data, ref_out.data, rtol=1e-6, atol=1e-7)
+    np.testing.assert_allclose(x.grad, ref.grad, rtol=1e-6, atol=1e-7)
+
+
+# -- the backward walk and what the tape keeps -----------------------------------
+
+
+def _retaining_backward(root):
+    """The walk before backward consumed the graph: every node keeps .grad and _inputs."""
+    root.grad = np.ones_like(root.data)
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent, _ in node._inputs:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    for node in reversed(order):
+        if node.grad is None:
+            continue
+        for parent, vjp in node._inputs:
+            g = vjp(node.grad)
+            parent.grad = g if parent.grad is None else parent.grad + g
+
+
+def _graph_nodes(root) -> list:
+    nodes, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(parent for parent, _ in node._inputs)
+    return nodes
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_backward_consumes_the_graph_with_the_retaining_walks_grads(dtype):
+    rng = np.random.default_rng(17)
+    x = rng.uniform(size=(2, 32, 32, 3)).astype(dtype)
+    y = (rng.uniform(size=(2, 32, 32, 1)) < 0.3).astype(dtype)
+    grads = []
+    for walk in (_retaining_backward, Tensor.backward):
+        params = init_params(tiny_config(), seed=5, dtype=dtype)
+        loss = bcej_loss(model_forward(x, params, mode="train"), Tensor(y))
+        inner = [t for t in _graph_nodes(loss) if t._inputs]
+        walk(loss)
+        grads.append({n: params[n].grad for n in params.trainable_names()})
+    want, got = grads
+    assert all(g is not None for g in want.values())
+    for name in want:
+        assert got[name].dtype == want[name].dtype == dtype
+        assert got[name].tobytes() == want[name].tobytes(), name
+    assert len(inner) > 100
+    assert all(t._inputs == [] and t.grad is None for t in inner)
+
+    kept = {n: g.copy() for n, g in got.items()}
+    loss.backward()  # the consumed graph reaches no leaf
+    for name, g in kept.items():
+        np.testing.assert_array_equal(params[name].grad, g)
+
+
+@pytest.mark.parametrize("c_in, stride, training", [(3, 2, True), (8, 1, False), (64, 1, True)])
+def test_conv_and_batch_norm_vjps_keep_only_inputs_and_per_channel_state(c_in, stride, training):
+    rng = np.random.default_rng(c_in)
+    c_out = 6
+
+    def param(*shape):
+        return Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+
+    x, w, b, gamma, beta = param(2, c_in, 12, 12), param(c_out, c_in, 3, 3), param(c_out), param(c_out), param(c_out)
+    y = ad.conv2d(x, w, b, stride=stride, padding=1)
+    z = ad.batch_norm(y, gamma, beta, np.zeros(c_out), np.ones(c_out), training=training)
+    for out, inputs in ((y, (x, w, b)), (z, (y, gamma, beta))):
+        own = {id(_base(t.data)) for t in inputs}
+        for a in _closure_arrays([vjp for _, vjp in out._inputs]):
+            assert id(a) in own or a.size <= max(c_in, c_out), (a.shape, a.dtype)

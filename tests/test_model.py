@@ -1,11 +1,16 @@
 """Network wiring: shapes, attention behavior, ablation, checkpoints."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vesselseg
 from vesselseg import autodiff as ad
 from vesselseg.autodiff import Tensor
 from vesselseg.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
@@ -361,6 +366,36 @@ def test_checkpoint_version_mismatch(tmp_path):
     bad.write_bytes(bytes(raw))
     with pytest.raises(VersionMismatch):
         load_checkpoint(bad)
+
+
+_WRITE_UNDER_SIZE_LIMIT = """
+import resource, signal, sys
+from vesselseg.checkpoint import Checkpoint, save_checkpoint
+from vesselseg.model import init_params, scaled_config
+
+cfg = scaled_config(32, width_divisor=8, bridge_layers=1, d_model=32, num_heads=2)
+limit = int(sys.argv[2])
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past the limit fails with EFBIG
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+save_checkpoint(Checkpoint(config=cfg, params=init_params(cfg, 4)), sys.argv[1])
+"""
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(_small_checkpoint(seed=3), path)
+    before = path.read_bytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    # a second writer runs out of file size half-way through the tensor data
+    env = dict(os.environ, PYTHONPATH=str(Path(vesselseg.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WRITE_UNDER_SIZE_LIMIT, str(path), str(len(before) // 2)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1 and "OSError" in proc.stderr, proc.stderr
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_encoder_only_checkpoint(tmp_path):

@@ -1,10 +1,15 @@
 """Adam, fold protocol, training determinism, evaluation, gradient check."""
 
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vesselseg
 from vesselseg.autodiff import Tensor
 from vesselseg.errors import (
     DimensionMismatch,
@@ -281,3 +286,36 @@ def test_grad_check_negative_control():
     )
     assert not report["pass"]
     assert report["max_rel_err"] > 0.3
+
+
+_TRAIN_STEP_512 = """
+import resource, sys
+import numpy as np
+from vesselseg.autodiff import Tensor
+from vesselseg.losses import bcej_loss
+from vesselseg.model import ModelConfig, init_params, model_forward
+from vesselseg.training import AdamState, TrainConfig, adam_step
+
+params = init_params(ModelConfig(), seed=0)
+state = AdamState.for_params(params)
+rng = np.random.default_rng(0)
+x = rng.uniform(size=(1, 512, 512, 3)).astype(np.float32)
+y = (rng.uniform(size=(1, 512, 512, 1)) < 0.1).astype(np.float32)
+loss = bcej_loss(model_forward(x, params, mode="train"), Tensor(y))
+loss.backward()
+adam_step(params, {n: params[n].grad for n in params.trainable_names()}, state, TrainConfig())
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux, bytes on macOS
+print(peak / (1024 * 1024 if sys.platform == "darwin" else 1024))
+"""
+
+
+def test_full_width_512_train_step_peaks_under_1300_mib():
+    """One paper-size step (35.1 M params, batch 1) in a fresh process stays
+    under the 1.3 GB training-memory target."""
+    env = dict(os.environ, PYTHONPATH=str(Path(vesselseg.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRAIN_STEP_512], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_mib = float(proc.stdout.split()[-1])
+    assert peak_mib < 1300, f"peak RSS {peak_mib:.0f} MiB"
