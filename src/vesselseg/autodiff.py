@@ -67,22 +67,11 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def item(self) -> float:
         return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
-
-    def zero_grad(self):
-        self.grad = None
 
     # -- graph ----------------------------------------------------------
     def backward(self, grad: np.ndarray | None = None):
@@ -137,11 +126,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
     def __sub__(self, other):
         if isinstance(other, (int, float)):
             return add(self, -other)
@@ -152,18 +136,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes if len(axes) > 1 else axes[0])
 
 
 def as_tensor(x) -> Tensor:
@@ -351,7 +323,8 @@ def sigmoid(x) -> Tensor:
     the working dtype so saturated logits never round to exactly 0 or 1."""
     x = as_tensor(x)
     d = x.data
-    out_data = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    out_data = np.where(d >= 0, 1.0, e) / (1.0 + e)
     info = np.finfo(d.dtype)
     out_data = np.clip(out_data, info.tiny, 1.0 - info.epsneg).astype(d.dtype, copy=False)
     return _make(out_data, [(x, lambda g: g * out_data * (1.0 - out_data))])

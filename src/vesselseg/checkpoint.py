@@ -26,7 +26,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import BadMagic, ManifestMismatch, VersionMismatch
-from .model import ModelConfig, ParamStore, init_params, param_manifest
+from .model import ModelConfig, ParamStore, init_params, param_manifest  # perfbench patches init_params here
 
 MAGIC = b"TONC"
 VERSION = 1
@@ -79,24 +79,30 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path, names: list[str] | None 
 
 
 def load_checkpoint(path: str | Path, encoder_only: bool = False, init_seed: int = 0) -> Checkpoint:
-    """Restore a checkpoint, validating magic, version and the manifest."""
+    """Restore a checkpoint, validating magic, version and the manifest.
+
+    The tensors are writable views into one buffer that holds the data section.
+    """
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 16 or raw[:4] != MAGIC:
-        raise BadMagic(f"{path} is not a checkpoint file")
-    (version,) = struct.unpack("<I", raw[4:8])
-    if version != VERSION:
-        raise VersionMismatch(f"{path}: format version {version}, expected {VERSION}")
-    (header_len,) = struct.unpack("<Q", raw[8:16])
-    if 16 + header_len > len(raw):
-        raise BadMagic(f"{path}: truncated header")
+    with open(path, "rb") as fh:
+        prefix = fh.read(16)
+        if len(prefix) < 16 or prefix[:4] != MAGIC:
+            raise BadMagic(f"{path} is not a checkpoint file")
+        version, header_len = struct.unpack("<IQ", prefix[4:])
+        if version != VERSION:
+            raise VersionMismatch(f"{path}: format version {version}, expected {VERSION}")
+        if 16 + header_len > os.fstat(fh.fileno()).st_size:
+            raise BadMagic(f"{path}: truncated header")
+        header_raw = fh.read(header_len)
+        data = np.fromfile(fh, dtype=np.uint8)  # the data section, in one aligned buffer
     try:
-        header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
-        config = ModelConfig.from_dict(header["config"])
-        tensor_specs = header["tensors"]
-        meta = header.get("meta", {})
+        header = json.loads(header_raw.decode("utf-8"))
+        config_raw, tensor_specs, meta = header["config"], header["tensors"], header.get("meta", {})
     except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
         raise BadMagic(f"{path}: unreadable header ({exc!r})") from exc
+    if not isinstance(tensor_specs, dict) or not isinstance(meta, dict):
+        raise BadMagic(f"{path}: the header's tensors and meta must be JSON objects")
+    config = ModelConfig.from_dict(config_raw)
 
     manifest = {e.name: e for e in param_manifest(config)}
     got = set(tensor_specs)
@@ -110,32 +116,30 @@ def load_checkpoint(path: str | Path, encoder_only: bool = False, init_seed: int
                 f"encoder_only={encoder_only})"
             )
 
-    data = raw[16 + header_len :]
+    store = init_params(config, init_seed) if got != expected else ParamStore(config, {})
     spans = []  # (start, stop, name) byte range of each tensor in the data section
-    for name, spec in tensor_specs.items():
+    for name, entry in manifest.items():
+        if name not in tensor_specs:
+            continue  # an encoder-only file: init_params filled it
+        spec = tensor_specs[name]
         if not isinstance(spec, dict) or spec.get("dtype") != "f32":
             raise ManifestMismatch(f"{path}: tensor {name} is not an f32 entry: {spec!r}")
         shape, start = spec.get("shape"), spec.get("offset")
         if not isinstance(shape, list) or any(type(s) is not int for s in shape):
             raise ManifestMismatch(f"{path}: tensor {name} has non-integer shape {shape!r}")
-        if tuple(shape) != manifest[name].shape:
+        if tuple(shape) != entry.shape:
+            raise ManifestMismatch(f"{path}: tensor {name} has shape {tuple(shape)}, manifest wants {entry.shape}")
+        count = int(np.prod(shape))
+        if type(start) is not int or start < 0 or start + 4 * count > data.size:
             raise ManifestMismatch(
-                f"{path}: tensor {name} has shape {tuple(shape)}, manifest wants {manifest[name].shape}"
+                f"{path}: tensor {name} at offset {start!r} lies outside the {data.size}-byte data section"
             )
-        nbytes = 4 * int(np.prod(shape))
-        if type(start) is not int or start < 0 or start + nbytes > len(data):
-            raise ManifestMismatch(
-                f"{path}: tensor {name} at offset {start!r} lies outside the {len(data)}-byte data section"
-            )
-        spans.append((start, start + nbytes, name))
+        spans.append((start, start + 4 * count, name))
+        values = np.frombuffer(data, dtype="<f4", count=count, offset=start)
+        store.tensors[name] = Tensor(values.reshape(entry.shape), requires_grad=entry.trainable)
     spans.sort()
     for (_, stop, first), (start, _, second) in zip(spans, spans[1:]):
         if start < stop:
             raise ManifestMismatch(f"{path}: tensors {first} and {second} overlap in the data section")
-
-    store = init_params(config, init_seed)
-    for start, stop, name in spans:
-        values = np.frombuffer(data[start:stop], dtype="<f4").reshape(manifest[name].shape).copy()
-        store.tensors[name] = Tensor(values, requires_grad=manifest[name].trainable)
     store.validate_manifest()
     return Checkpoint(config=config, params=store, meta=meta)

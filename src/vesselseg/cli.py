@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import VesselSegError
+from .errors import ConfigInvalid, MissingFile, VesselSegError
 from .model import ModelConfig, segment_volume, tiny_config
 from .phantom import BoneDecoy, PhantomSpec, generate, save_spec
 from .tracker import TrackerConfig, events_to_json, track_volume
-from .training import TrainConfig, cross_validate, evaluate, grad_check, train
+from .training import TrainConfig, checkpoint_window, cross_validate, evaluate, grad_check, train
 from .volume_io import (
     HuWindow,
     MaskVolume,
@@ -51,17 +51,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-def write_overlay(
-    hu_slice: np.ndarray,
-    mask_slice: np.ndarray,
-    path: str | Path,
-    window: HuWindow | None = None,
-) -> None:
+def write_overlay(hu_slice: np.ndarray, mask_slice: np.ndarray, path: str | Path, window: HuWindow) -> None:
     """Write an 8-bit binary PPM: windowed grayscale, mask tinted red.
 
     Mask pixels get red channel 255; green/blue keep the grayscale value.
     """
-    window = window or HuWindow()
     gray = (normalize_slice(hu_slice, window) * 255.0).astype(np.uint8)
     h, w = gray.shape
     rgb = np.stack([gray, gray, gray], axis=-1)
@@ -92,21 +86,24 @@ def _load_patient(directory: str | Path) -> tuple[Volume, MaskVolume]:
     return load_volume(directory), load_mask(directory)
 
 
-def _read_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+# The config fields that train's flags set, by section; each flag's dest is its field.
+_FLAG_FIELDS = {"model": ("input_hw", "bridge_layers"), "train": ("epochs", "batch_size", "learning_rate", "seed")}
 
 
-def _model_config(overrides: dict) -> ModelConfig:
-    return ModelConfig.from_dict({**ModelConfig().to_dict(), **overrides})
-
-
-def _train_config(overrides: dict) -> TrainConfig:
-    base = TrainConfig().to_dict()
-    base.update(overrides)
-    window = base.pop("hu_window")
-    return TrainConfig(hu_window=HuWindow(*window), **base)
+def _configs(args) -> tuple[ModelConfig, TrainConfig]:
+    """The defaults, overridden by the --config file's model and train
+    sections, overridden by the flags that were set."""
+    try:
+        file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    except OSError as exc:
+        raise MissingFile(f"cannot read config file {args.config}: {exc.strerror}") from exc
+    if not isinstance(file_cfg, dict) or not all(isinstance(file_cfg.get(k, {}), dict) for k in _FLAG_FIELDS):
+        raise ConfigInvalid(f"{args.config} must hold a JSON object whose model/train sections are objects")
+    merged = {"model": ModelConfig().to_dict(), "train": TrainConfig().to_dict()}
+    for section, names in _FLAG_FIELDS.items():
+        merged[section].update(file_cfg.get(section, {}))
+        merged[section].update({n: getattr(args, n) for n in names if getattr(args, n, None) is not None})
+    return ModelConfig.from_dict(merged["model"]), TrainConfig.from_dict(merged["train"])
 
 
 # -- subcommands -----------------------------------------------------------
@@ -131,23 +128,7 @@ def _cmd_phantom(args) -> CommandResult:
 
 
 def _cmd_train(args) -> CommandResult:
-    file_cfg = _read_config_file(args.config)
-    model_over = dict(file_cfg.get("model", {}))
-    if args.input_size is not None:
-        model_over["input_hw"] = args.input_size
-    if args.bridge_layers is not None:
-        model_over["bridge_layers"] = args.bridge_layers
-    train_over = dict(file_cfg.get("train", {}))
-    if args.epochs is not None:
-        train_over["epochs"] = args.epochs
-    if args.batch_size is not None:
-        train_over["batch_size"] = args.batch_size
-    if args.lr is not None:
-        train_over["learning_rate"] = args.lr
-    if args.seed is not None:
-        train_over["seed"] = args.seed
-    model_cfg = _model_config(model_over)
-    train_cfg = _train_config(train_over)
+    model_cfg, train_cfg = _configs(args)
 
     train_patients = [_load_patient(d) for d in args.data]
     val_patients = [_load_patient(d) for d in args.val]
@@ -187,8 +168,8 @@ def _cmd_eval(args) -> CommandResult:
 def _cmd_predict(args) -> CommandResult:
     ckpt = load_checkpoint(args.ckpt)
     volume = load_volume(args.volume)
-    lo, hi = ckpt.meta.get("hu_window", (HuWindow().lo, HuWindow().hi))
-    mask = segment_volume(ckpt.params, volume, HuWindow(lo, hi), threshold=args.threshold)
+    window = checkpoint_window(ckpt)
+    mask = segment_volume(ckpt.params, volume, window, threshold=args.threshold)
     out = Path(args.out)
     save_mask(mask, out)
     if args.overlay_dir:
@@ -197,7 +178,7 @@ def _cmd_predict(args) -> CommandResult:
                 volume.voxels[z],
                 mask.voxels[z],
                 Path(args.overlay_dir) / f"slice_{z:04d}.ppm",
-                HuWindow(lo, hi),
+                window,
             )
     _write_effective_config(
         out / "effective_config.json",
@@ -213,9 +194,7 @@ def _cmd_predict(args) -> CommandResult:
 
 
 def _cmd_xval(args) -> CommandResult:
-    file_cfg = _read_config_file(args.config)
-    model_cfg = _model_config(file_cfg.get("model", {}))
-    train_cfg = _train_config(file_cfg.get("train", {}))
+    model_cfg, train_cfg = _configs(args)
     fold_sizes = tuple(int(s) for s in args.folds.split(","))
     root = Path(args.data_root)
     patient_dirs = sorted(d for d in root.iterdir() if d.is_dir())
@@ -305,9 +284,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--lr", type=float, default=None, dest="learning_rate", metavar="LR")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--input-size", type=int, default=None)
+    p.add_argument("--input-size", type=int, default=None, dest="input_hw", metavar="INPUT_SIZE")
     p.add_argument("--bridge-layers", type=int, default=None)
     p.set_defaults(func=_cmd_train)
 

@@ -62,6 +62,10 @@ class ManifestMismatch(VesselSegError):
 
 
 # training
+class ConfigInvalid(VesselSegError, ValueError):
+    """A config file, or a TrainConfig field, is malformed or out of range."""
+
+
 class NonFiniteGradient(VesselSegError):
     pass
 

@@ -19,8 +19,8 @@ entries of the same store; a tensor's requires_grad is its trainable flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, fields
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -28,15 +28,62 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DimensionMismatch, NonFiniteActivation, ShapeMismatch
 from .losses import binarize, config_digest
-from .volume_io import HuWindow, MaskVolume, Volume, normalize_slice, to_model_input
+from .volume_io import HuWindow, MaskVolume, Volume, is_finite_number, normalize_slice, to_model_input
 
 BASE_ENCODER_WIDTHS = (64, 64, 128, 256, 512)
 BASE_DECODER_WIDTHS = (256, 128, 64, 32)
 ENCODER_BLOCK_COUNTS = (3, 4, 6, 3)
 
 
+# What each annotated field type accepts, as an error message names it.
+_FIELD_KINDS = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a finite number", is_finite_number),
+    bool: ("true or false", lambda v: type(v) is bool),
+    tuple[int, ...]: ("a list of integers", lambda v: type(v) is tuple and all(type(i) is int for i in v)),
+    HuWindow: ("a [lo, hi] pair", lambda v: isinstance(v, HuWindow)),
+}
+
+
+class DictConfig:
+    """A config dataclass whose JSON dict form is derived from its fields: every
+    field in declaration order, tuples as lists, an HuWindow as [lo, hi]. A
+    subclass sets _error, the VesselSegError a malformed value raises, and
+    calls _check_types() first in __post_init__."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, raw) -> "DictConfig":
+        """The config from exactly the keys to_dict writes."""
+        kinds = get_type_hints(cls)  # field name -> annotated type, in declaration order
+        if not isinstance(raw, dict):
+            raise cls._error(f"{cls.__name__} must be a JSON object, got {raw!r}")
+        unknown, missing = sorted(set(raw) - set(kinds)), sorted(set(kinds) - set(raw))
+        if unknown or missing:
+            raise cls._error(f"{cls.__name__}: unknown keys {unknown}, missing keys {missing}")
+        return cls(**{n: _typed(kind, raw[n]) for n, kind in kinds.items()})
+
+    def _check_types(self) -> None:
+        for name, kind in get_type_hints(type(self)).items():
+            what, accepts = _FIELD_KINDS[kind]
+            if not accepts(getattr(self, name)):
+                raise self._error(f"{name} must be {what}, got {getattr(self, name)!r}")
+
+
+def _plain(value):
+    return value.to_pair() if isinstance(value, HuWindow) else list(value) if isinstance(value, tuple) else value
+
+
+def _typed(kind, value):
+    if kind is HuWindow:
+        return HuWindow.from_pair(value)
+    return tuple(value) if kind == tuple[int, ...] and isinstance(value, list) else value
+
+
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(DictConfig):
     """Architecture hyperparameters; spatial sizes must divide by 32."""
 
     input_hw: int = 512
@@ -50,19 +97,27 @@ class ModelConfig:
     decoder_widths: tuple[int, ...] = BASE_DECODER_WIDTHS
     out_channels: int = 1
 
+    _error = ShapeMismatch
+
     def __post_init__(self):
+        self._check_types()
         if self.input_hw % 32 != 0 or self.input_hw < 32:
             raise ShapeMismatch(f"input_hw must be a positive multiple of 32, got {self.input_hw}")
         if self.in_channels != 3:
-            raise ShapeMismatch(f"model input is fixed at 3 channels, got {self.in_channels}")
-        if self.d_model % self.num_heads != 0:
-            raise ShapeMismatch(f"d_model {self.d_model} not divisible by {self.num_heads} heads")
+            raise ShapeMismatch(f"in_channels is fixed at 3, got {self.in_channels}")
         if len(self.encoder_widths) != 5 or len(self.encoder_block_counts) != 4:
-            raise ShapeMismatch("encoder needs 5 widths and 4 block counts")
+            raise ShapeMismatch("the encoder needs 5 encoder_widths and 4 encoder_block_counts")
         if len(self.decoder_widths) != 4:
-            raise ShapeMismatch("decoder needs exactly 4 widths")
+            raise ShapeMismatch("the decoder needs exactly 4 decoder_widths")
+        if min(self.encoder_widths + self.encoder_block_counts + self.decoder_widths) < 1:
+            raise ShapeMismatch("encoder_widths, encoder_block_counts and decoder_widths need entries >= 1")
+        for name, least in (("bridge_layers", 0), ("d_model", 1), ("num_heads", 1), ("mlp_ratio", 1)):
+            if getattr(self, name) < least:
+                raise ShapeMismatch(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if self.d_model % self.num_heads != 0:
+            raise ShapeMismatch(f"d_model {self.d_model} not divisible by num_heads {self.num_heads}")
         if self.out_channels != 1:
-            raise ShapeMismatch("single-channel probability output only")
+            raise ShapeMismatch("out_channels must be 1: single-channel probability output only")
 
     @property
     def token_grid(self) -> int:
@@ -71,35 +126,6 @@ class ModelConfig:
     @property
     def n_tokens(self) -> int:
         return self.token_grid * self.token_grid
-
-    def to_dict(self) -> dict:
-        return {
-            "input_hw": self.input_hw,
-            "in_channels": self.in_channels,
-            "encoder_widths": list(self.encoder_widths),
-            "encoder_block_counts": list(self.encoder_block_counts),
-            "bridge_layers": self.bridge_layers,
-            "d_model": self.d_model,
-            "num_heads": self.num_heads,
-            "mlp_ratio": self.mlp_ratio,
-            "decoder_widths": list(self.decoder_widths),
-            "out_channels": self.out_channels,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ModelConfig":
-        return cls(
-            input_hw=int(raw["input_hw"]),
-            in_channels=int(raw["in_channels"]),
-            encoder_widths=tuple(raw["encoder_widths"]),
-            encoder_block_counts=tuple(raw["encoder_block_counts"]),
-            bridge_layers=int(raw["bridge_layers"]),
-            d_model=int(raw["d_model"]),
-            num_heads=int(raw["num_heads"]),
-            mlp_ratio=int(raw["mlp_ratio"]),
-            decoder_widths=tuple(raw["decoder_widths"]),
-            out_channels=int(raw["out_channels"]),
-        )
 
     def digest(self) -> str:
         return config_digest(self.to_dict())

@@ -25,6 +25,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import Checkpoint, save_checkpoint
 from .errors import (
+    ConfigInvalid,
     DimensionMismatch,
     EmptyDataset,
     NonFiniteGradient,
@@ -40,7 +41,7 @@ from .losses import (
     patient_dice,
     patient_iou,
 )
-from .model import ModelConfig, ParamStore, init_params, model_forward, model_input
+from .model import DictConfig, ModelConfig, ParamStore, init_params, model_forward, model_input
 from .model import predict_probabilities, segment_volume
 from .volume_io import HuWindow, MaskVolume, Volume
 from .volume_io import normalize_slice, to_model_input  # noqa: F401  perfbench wraps them here
@@ -49,7 +50,7 @@ Patient = tuple[Volume, MaskVolume]
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(DictConfig):
     learning_rate: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
@@ -61,20 +62,17 @@ class TrainConfig:
     shuffle: bool = True
     checkpoint_every: int = 0  # epochs between periodic saves; 0 disables
 
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("beta1/beta2 must lie in [0, 1)")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 0 or self.checkpoint_every < 0:
-            raise ValueError(f"epochs/checkpoint_every must be >= 0, got {self.epochs}/{self.checkpoint_every}")
+    _error = ConfigInvalid
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["hu_window"] = [self.hu_window.lo, self.hu_window.hi]
-        return d
+    def __post_init__(self):
+        self._check_types()
+        if self.learning_rate <= 0 or self.adam_eps <= 0:
+            raise ConfigInvalid(f"learning_rate/adam_eps must be > 0, got {self.learning_rate}/{self.adam_eps}")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ConfigInvalid(f"beta1/beta2 must lie in [0, 1), got {self.beta1}/{self.beta2}")
+        for name, least in (("batch_size", 1), ("epochs", 0), ("seed", 0), ("checkpoint_every", 0)):
+            if getattr(self, name) < least:
+                raise ConfigInvalid(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -263,7 +261,7 @@ def train(
         "seed": train_cfg.seed,
         "epoch": 0,
         "loss": None,
-        "hu_window": [train_cfg.hu_window.lo, train_cfg.hu_window.hi],
+        "hu_window": train_cfg.hu_window.to_pair(),
         "train_config": train_cfg.to_dict(),
     }
     log = RunLog(seed=train_cfg.seed)
@@ -333,16 +331,10 @@ def train(
     return Checkpoint(config=model_cfg, params=best_params, meta=meta), log
 
 
-def evaluate(
-    ckpt: Checkpoint,
-    patients: Sequence[Patient],
-    window: HuWindow | None = None,
-    threshold: float = 0.5,
-) -> MetricsReport:
-    """Segment each patient volume and score 3-D Dice/IoU against truth."""
-    if window is None:
-        lo, hi = ckpt.meta.get("hu_window", (HuWindow().lo, HuWindow().hi))
-        window = HuWindow(lo, hi)
+def evaluate(ckpt: Checkpoint, patients: Sequence[Patient], threshold: float = 0.5) -> MetricsReport:
+    """Segment each patient volume, with the HU window the checkpoint was
+    trained with, and score 3-D Dice/IoU against truth."""
+    window = checkpoint_window(ckpt)
     results = []
     for vol, mask in patients:
         pred = segment_volume(ckpt.params, vol, window, threshold=threshold)
@@ -357,6 +349,11 @@ def evaluate(
     return MetricsReport.from_patients(
         results, seed=int(ckpt.meta.get("seed", 0)), config_sha256=ckpt.config.digest()
     )
+
+
+def checkpoint_window(ckpt: Checkpoint) -> HuWindow:
+    """The HU window recorded in the checkpoint's metadata, or the default."""
+    return HuWindow.from_pair(ckpt.meta.get("hu_window", HuWindow().to_pair()))
 
 
 @dataclass

@@ -17,6 +17,7 @@ input is the normalized slice replicated to three channels.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -101,8 +102,23 @@ class HuWindow:
     hi: float = DEFAULT_HU_WINDOW[1]
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise MetaParseError(f"HU window requires lo < hi, got [{self.lo}, {self.hi}]")
+        if not all(is_finite_number(v) for v in (self.lo, self.hi)) or not self.lo < self.hi:
+            raise MetaParseError(f"hu_window needs finite numbers lo < hi, got [{self.lo!r}, {self.hi!r}]")
+
+    @classmethod
+    def from_pair(cls, pair) -> "HuWindow":
+        """The window from its [lo, hi] form in config files and checkpoint metadata."""
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise MetaParseError(f"hu_window must be a [lo, hi] pair, got {pair!r}")
+        return cls(*pair)
+
+    def to_pair(self) -> list:
+        return [self.lo, self.hi]
+
+
+def is_finite_number(value) -> bool:
+    """A finite int or float; bools, strings and NaN are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _meta_to_dict(meta: VolumeMeta) -> dict:

@@ -1,11 +1,19 @@
 """End-to-end CLI flows on micro-sized inputs."""
 
 import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vesselseg
+from vesselseg.checkpoint import load_checkpoint
 from vesselseg.cli import dispatch, write_overlay
+from vesselseg.errors import VesselSegError
 from vesselseg.volume_io import HuWindow, load_mask
 
 
@@ -51,6 +59,14 @@ def test_track_flow(tmp_path):
     assert any(e["kind"] == "lost" and e["z"] == 4 for e in payload)
 
 
+MICRO_CONFIG = {
+    "model": {"input_hw": 32, "encoder_widths": [8, 8, 16, 32, 64],
+              "decoder_widths": [32, 16, 8, 4], "bridge_layers": 1,
+              "d_model": 32, "num_heads": 2},
+    "train": {"epochs": 1, "batch_size": 4, "learning_rate": 1e-3},
+}
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A micro training run shared by eval/predict tests."""
@@ -58,12 +74,7 @@ def trained(tmp_path_factory):
     data = root / "p00"
     assert run("phantom", "--out", str(data), "--seed", "5", "--slices", "4", "--size", "32").exit_code == 0
     cfg = root / "cfg.json"
-    cfg.write_text(json.dumps({
-        "model": {"input_hw": 32, "encoder_widths": [8, 8, 16, 32, 64],
-                   "decoder_widths": [32, 16, 8, 4], "bridge_layers": 1,
-                   "d_model": 32, "num_heads": 2},
-        "train": {"epochs": 1, "batch_size": 4, "learning_rate": 1e-3},
-    }))
+    cfg.write_text(json.dumps(MICRO_CONFIG))
     out = root / "run"
     result = run("train", "--data", str(data), "--config", str(cfg), "--out", str(out), "--seed", "1")
     assert result.exit_code == 0
@@ -162,6 +173,98 @@ def test_train_negative_epochs_exits_1(trained, tmp_path, capsys):
     err = capsys.readouterr().err
     assert result.exit_code == 1
     assert "epochs" in err and "Traceback" not in err
+
+
+def test_effective_config_reproduces_the_checkpoint(trained, tmp_path):
+    _, data, out = trained
+    again = tmp_path / "again"
+    result = run("train", "--data", str(data), "--config", str(out / "effective_config.json"), "--out", str(again))
+    assert result.exit_code == 0
+    assert (again / "model.ckpt").read_bytes() == (out / "model.ckpt").read_bytes()
+    assert (again / "effective_config.json").read_bytes() == (out / "effective_config.json").read_bytes()
+
+
+def _section(name, **edits):
+    return {**MICRO_CONFIG, name: {**MICRO_CONFIG[name], **edits}}
+
+
+@pytest.mark.parametrize("config, field", [
+    (_section("train", shuflle=False), "shuflle"),
+    (_section("model", depth=3), "depth"),
+    (_section("train", hu_window=5), "hu_window"),
+    (_section("train", hu_window=[900, -100]), "hu_window"),
+    (_section("model", encoder_widths=5), "encoder_widths"),
+    (_section("model", encoder_widths=["a", 1, 1, 1, 1]), "encoder_widths"),
+    (_section("model", num_heads=0), "num_heads"),
+    (_section("model", bridge_layers=-1), "bridge_layers"),
+    (_section("model", input_hw=32.9), "input_hw"),
+    ([MICRO_CONFIG], "model/train"),
+    (_section("train", epochs="2"), "epochs"),
+    (_section("train", learning_rate="x"), "learning_rate"),
+    (None, "no_such_config.json"),
+])
+def test_malformed_train_config_exits_1(trained, tmp_path, capsys, config, field):
+    _, data, _ = trained
+    path = tmp_path / "no_such_config.json"
+    if config is not None:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+    result = run("train", "--data", str(data), "--config", str(path), "--out", str(tmp_path / "run"))
+    err = capsys.readouterr().err
+    assert result.exit_code == 1, err
+    assert err.startswith("vesselseg: ") and field in err and "Traceback" not in err
+
+
+def _edit_header(src, dst, section, key, value):
+    """Copy a checkpoint, setting header[section][key] = value."""
+    raw = src.read_bytes()
+    (n,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + n])
+    header[section][key] = value
+    new = json.dumps(header).encode("utf-8")
+    dst.write_bytes(raw[:8] + struct.pack("<Q", len(new)) + new + raw[16 + n :])
+
+
+@pytest.mark.parametrize("key, value", [("num_heads", 0), ("input_hw", 32.5), ("d_model", "32"), ("depth", 3)])
+def test_malformed_checkpoint_config_exits_1(trained, tmp_path, capsys, key, value):
+    _, data, out = trained
+    bad = tmp_path / "bad.ckpt"
+    _edit_header(out / "model.ckpt", bad, "config", key, value)
+    with pytest.raises(VesselSegError, match=key):
+        load_checkpoint(bad)
+    result = run("eval", "--ckpt", str(bad), "--data", str(data), "--report", str(tmp_path / "r.json"))
+    err = capsys.readouterr().err
+    assert result.exit_code == 1
+    assert err.startswith("vesselseg: ") and key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_checkpoint_window_must_be_a_pair(trained, tmp_path, capsys, command):
+    _, data, out = trained
+    bad = tmp_path / "bad.ckpt"
+    _edit_header(out / "model.ckpt", bad, "meta", "hu_window", 5)
+    flags = {"eval": ["--data", str(data), "--report", str(tmp_path / "r.json")],
+             "predict": ["--volume", str(data), "--out", str(tmp_path / "pred")]}[command]
+    result = run(command, "--ckpt", str(bad), *flags)
+    err = capsys.readouterr().err
+    assert result.exit_code == 1
+    assert err.startswith("vesselseg: ") and "hu_window" in err and "Traceback" not in err
+
+
+def test_console_script_exits_1_on_a_malformed_config(trained, tmp_path):
+    _, data, _ = trained
+    pyproject = Path(vesselseg.__file__).parents[2] / "pyproject.toml"
+    assert 'vesselseg = "vesselseg.cli:main"' in pyproject.read_text(encoding="utf-8")
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(_section("train", epochs="2")))
+    env = dict(os.environ, PYTHONPATH=str(Path(vesselseg.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from vesselseg.cli import main; main()",
+         "train", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "epochs" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_bad_usage_exit_codes(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Network wiring: shapes, attention behavior, ablation, checkpoints."""
 
+import hashlib
 import json
 import os
 import struct
@@ -65,6 +66,27 @@ def test_config_dict_roundtrip():
     cfg = tiny_config()
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
     assert len(cfg.digest()) == 64
+
+
+def test_config_dict_and_checkpoint_bytes_are_unchanged(tmp_path):
+    assert list(ModelConfig().to_dict().items()) == [
+        ("input_hw", 512),
+        ("in_channels", 3),
+        ("encoder_widths", [64, 64, 128, 256, 512]),
+        ("encoder_block_counts", [3, 4, 6, 3]),
+        ("bridge_layers", 4),
+        ("d_model", 512),
+        ("num_heads", 8),
+        ("mlp_ratio", 2),
+        ("decoder_widths", [256, 128, 64, 32]),
+        ("out_channels", 1),
+    ]
+    assert ModelConfig().digest() == "cc2f0224dfd92a7d6d891f8b89cda4b253c279dca30a90fbc29413d04db74153"
+    path = tmp_path / "tiny.ckpt"
+    save_checkpoint(Checkpoint(config=tiny_config(), params=init_params(tiny_config(), 0)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "24909c6ca15f2587651fd4e50f1329388062c3563786f53b49e910e1a2b1d9e0"
+    )
 
 
 def test_init_deterministic_per_seed():
@@ -340,6 +362,7 @@ def test_checkpoint_roundtrip_bit_identical_forward(tmp_path):
     np.testing.assert_array_equal(before, after)
     for name in ckpt.params.names():
         assert np.array_equal(ckpt.params.data(name), loaded.params.data(name))
+        assert loaded.params.data(name).flags.writeable  # training may update it in place
 
 
 def test_checkpoint_bad_magic_and_truncation(tmp_path):

@@ -125,6 +125,22 @@ def test_train_config_validation():
         TrainConfig(checkpoint_every=-1)
 
 
+def test_train_config_dict_is_unchanged():
+    assert list(TrainConfig().to_dict().items()) == [
+        ("learning_rate", 1e-4),
+        ("beta1", 0.9),
+        ("beta2", 0.999),
+        ("adam_eps", 1e-8),
+        ("batch_size", 8),
+        ("epochs", 10),
+        ("seed", 0),
+        ("hu_window", [-100.0, 900.0]),
+        ("shuffle", True),
+        ("checkpoint_every", 0),
+    ]
+    assert TrainConfig.from_dict(TrainConfig(seed=3).to_dict()) == TrainConfig(seed=3)
+
+
 def test_make_folds_protocol():
     ids = [f"p{i:02d}" for i in range(1, 12)]
     plan = make_folds(ids)
