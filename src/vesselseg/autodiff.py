@@ -217,12 +217,6 @@ def div(a, b) -> Tensor:
     )
 
 
-def exp(x) -> Tensor:
-    x = as_tensor(x)
-    out_data = np.exp(x.data)
-    return _make(out_data, [(x, lambda g: g * out_data)])
-
-
 def log(x) -> Tensor:
     x = as_tensor(x)
     return _make(np.log(x.data), [(x, lambda g: g / x.data)])

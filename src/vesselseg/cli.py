@@ -39,7 +39,6 @@ from .volume_io import (
 @dataclass
 class CommandResult:
     exit_code: int
-    report_path: str | None = None
 
 
 class _UsageError(Exception):
@@ -88,6 +87,8 @@ def _load_patient(directory: str | Path) -> tuple[Volume, MaskVolume]:
 
 # The config fields that train's flags set, by section; each flag's dest is its field.
 _FLAG_FIELDS = {"model": ("input_hw", "bridge_layers"), "train": ("epochs", "batch_size", "learning_rate", "seed")}
+# The top-level keys of a train or xval effective_config.json, which --config accepts.
+_CONFIG_KEYS = ("command", "model", "train", "data", "val", "data_root", "folds")
 
 
 def _configs(args) -> tuple[ModelConfig, TrainConfig]:
@@ -99,6 +100,9 @@ def _configs(args) -> tuple[ModelConfig, TrainConfig]:
         raise MissingFile(f"cannot read config file {args.config}: {exc.strerror}") from exc
     if not isinstance(file_cfg, dict) or not all(isinstance(file_cfg.get(k, {}), dict) for k in _FLAG_FIELDS):
         raise ConfigInvalid(f"{args.config} must hold a JSON object whose model/train sections are objects")
+    unknown = sorted(set(file_cfg) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ConfigInvalid(f"{args.config}: unknown top-level keys {unknown}; allowed are {list(_CONFIG_KEYS)}")
     merged = {"model": ModelConfig().to_dict(), "train": TrainConfig().to_dict()}
     for section, names in _FLAG_FIELDS.items():
         merged[section].update(file_cfg.get(section, {}))
@@ -124,7 +128,7 @@ def _cmd_phantom(args) -> CommandResult:
     save_mask(mask, out)
     save_spec(spec, out)
     _write_effective_config(out / "effective_config.json", "phantom", {"spec": json.loads(spec.to_json())})
-    return CommandResult(0, str(out))
+    return CommandResult(0)
 
 
 def _cmd_train(args) -> CommandResult:
@@ -147,7 +151,7 @@ def _cmd_train(args) -> CommandResult:
             "val": list(args.val),
         },
     )
-    return CommandResult(0, str(out / "model.ckpt"))
+    return CommandResult(0)
 
 
 def _cmd_eval(args) -> CommandResult:
@@ -162,7 +166,7 @@ def _cmd_eval(args) -> CommandResult:
         "eval",
         {"ckpt": args.ckpt, "data": list(args.data), "report": args.report},
     )
-    return CommandResult(0, str(report_path))
+    return CommandResult(0)
 
 
 def _cmd_predict(args) -> CommandResult:
@@ -190,7 +194,7 @@ def _cmd_predict(args) -> CommandResult:
             "overlay_dir": args.overlay_dir,
         },
     )
-    return CommandResult(0, str(out))
+    return CommandResult(0)
 
 
 def _cmd_xval(args) -> CommandResult:
@@ -222,7 +226,7 @@ def _cmd_xval(args) -> CommandResult:
             "folds": list(fold_sizes),
         },
     )
-    return CommandResult(0, str(report_path))
+    return CommandResult(0)
 
 
 def _cmd_track(args) -> CommandResult:
@@ -246,7 +250,7 @@ def _cmd_track(args) -> CommandResult:
             "events": args.events,
         },
     )
-    return CommandResult(0, str(out))
+    return CommandResult(0)
 
 
 def _cmd_gradcheck(args) -> CommandResult:

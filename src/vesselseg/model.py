@@ -19,8 +19,8 @@ entries of the same store; a tensor's requires_grad is its trainable flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import NamedTuple, get_type_hints
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,58 +28,11 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DimensionMismatch, NonFiniteActivation, ShapeMismatch
 from .losses import binarize, config_digest
-from .volume_io import HuWindow, MaskVolume, Volume, is_finite_number, normalize_slice, to_model_input
+from .volume_io import DictConfig, HuWindow, MaskVolume, Volume, normalize_slice, to_model_input
 
 BASE_ENCODER_WIDTHS = (64, 64, 128, 256, 512)
 BASE_DECODER_WIDTHS = (256, 128, 64, 32)
 ENCODER_BLOCK_COUNTS = (3, 4, 6, 3)
-
-
-# What each annotated field type accepts, as an error message names it.
-_FIELD_KINDS = {
-    int: ("an integer", lambda v: type(v) is int),
-    float: ("a finite number", is_finite_number),
-    bool: ("true or false", lambda v: type(v) is bool),
-    tuple[int, ...]: ("a list of integers", lambda v: type(v) is tuple and all(type(i) is int for i in v)),
-    HuWindow: ("a [lo, hi] pair", lambda v: isinstance(v, HuWindow)),
-}
-
-
-class DictConfig:
-    """A config dataclass whose JSON dict form is derived from its fields: every
-    field in declaration order, tuples as lists, an HuWindow as [lo, hi]. A
-    subclass sets _error, the VesselSegError a malformed value raises, and
-    calls _check_types() first in __post_init__."""
-
-    def to_dict(self) -> dict:
-        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, raw) -> "DictConfig":
-        """The config from exactly the keys to_dict writes."""
-        kinds = get_type_hints(cls)  # field name -> annotated type, in declaration order
-        if not isinstance(raw, dict):
-            raise cls._error(f"{cls.__name__} must be a JSON object, got {raw!r}")
-        unknown, missing = sorted(set(raw) - set(kinds)), sorted(set(kinds) - set(raw))
-        if unknown or missing:
-            raise cls._error(f"{cls.__name__}: unknown keys {unknown}, missing keys {missing}")
-        return cls(**{n: _typed(kind, raw[n]) for n, kind in kinds.items()})
-
-    def _check_types(self) -> None:
-        for name, kind in get_type_hints(type(self)).items():
-            what, accepts = _FIELD_KINDS[kind]
-            if not accepts(getattr(self, name)):
-                raise self._error(f"{name} must be {what}, got {getattr(self, name)!r}")
-
-
-def _plain(value):
-    return value.to_pair() if isinstance(value, HuWindow) else list(value) if isinstance(value, tuple) else value
-
-
-def _typed(kind, value):
-    if kind is HuWindow:
-        return HuWindow.from_pair(value)
-    return tuple(value) if kind == tuple[int, ...] and isinstance(value, list) else value
 
 
 @dataclass(frozen=True)

@@ -41,9 +41,9 @@ from .losses import (
     patient_dice,
     patient_iou,
 )
-from .model import DictConfig, ModelConfig, ParamStore, init_params, model_forward, model_input
+from .model import ModelConfig, ParamStore, init_params, model_forward, model_input
 from .model import predict_probabilities, segment_volume
-from .volume_io import HuWindow, MaskVolume, Volume
+from .volume_io import DictConfig, HuWindow, MaskVolume, Volume
 from .volume_io import normalize_slice, to_model_input  # noqa: F401  perfbench wraps them here
 
 Patient = tuple[Volume, MaskVolume]

@@ -1,13 +1,19 @@
-"""On-disk volume format, loading and saving, and HU normalization.
+"""On-disk volume format, loading and saving, HU normalization, and the
+dict form (DictConfig) shared by meta.json and the package's configs.
 
 A "patient directory" holds three files:
 
-    meta.json    {"patient_id": str, "height": int, "width": int,
-                  "num_slices": int, "spacing_mm": [x, y, z],
+    meta.json    {"height": int, "width": int, "num_slices": int,
+                  "spacing_mm": [x, y, z], "patient_id": str,
                   "dtype": "int16-le"}
     volume.raw   little-endian int16, slice-major (z, then row y, then
                  column x), no header
     mask.raw     one unsigned byte per voxel in {0, 1}, same ordering
+
+meta.json is VolumeMeta.to_dict() plus "dtype" and reads back through
+VolumeMeta.from_dict: exactly these keys, each of its JSON type (32.9 and
+true are no integers), or MetaParseError names the file and the field.
+Volume and MaskVolume share one load path and one save path.
 
 Volumes carry signed 16-bit Hounsfield units. Slices are normalized into
 [0, 1] with a configurable HU window before entering the model; the model
@@ -18,8 +24,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_origin, get_type_hints
 
 import numpy as np
 
@@ -28,70 +35,15 @@ from .errors import InvalidLabel, MetaParseError, MissingFile, SizeMismatch
 META_FILENAME = "meta.json"
 VOLUME_FILENAME = "volume.raw"
 MASK_FILENAME = "mask.raw"
+RAW_DTYPE = "int16-le"  # the "dtype" meta.json declares for volume.raw
 
 # Spans soft tissue through contrast-enhanced lumen and calcification.
 DEFAULT_HU_WINDOW = (-100.0, 900.0)
 
 
-@dataclass(frozen=True)
-class VolumeMeta:
-    """Dimensions, voxel spacing and identity of one patient stack."""
-
-    height: int
-    width: int
-    num_slices: int
-    spacing_mm: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    patient_id: str = ""
-
-    def __post_init__(self):
-        if self.height < 1 or self.width < 1 or self.num_slices < 1:
-            raise MetaParseError(
-                f"dimensions must be >= 1, got {self.num_slices}x{self.height}x{self.width}"
-            )
-        if any(s <= 0 for s in self.spacing_mm):
-            raise MetaParseError(f"spacing_mm components must be > 0, got {self.spacing_mm}")
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        """Voxel array shape in (z, y, x) order."""
-        return (self.num_slices, self.height, self.width)
-
-    @property
-    def voxel_count(self) -> int:
-        return self.num_slices * self.height * self.width
-
-
-@dataclass
-class Volume:
-    """A CTA stack: int16 HU voxels in (z, y, x) order."""
-
-    meta: VolumeMeta
-    voxels: np.ndarray
-
-    def __post_init__(self):
-        self.voxels = np.asarray(self.voxels, dtype=np.int16)
-        if self.voxels.shape != self.meta.shape:
-            raise SizeMismatch(
-                f"voxel shape {self.voxels.shape} does not match meta {self.meta.shape}"
-            )
-
-
-@dataclass
-class MaskVolume:
-    """A binary annotation stack aligned with a Volume."""
-
-    meta: VolumeMeta
-    voxels: np.ndarray
-
-    def __post_init__(self):
-        self.voxels = np.asarray(self.voxels, dtype=np.uint8)
-        if self.voxels.shape != self.meta.shape:
-            raise SizeMismatch(
-                f"mask shape {self.voxels.shape} does not match meta {self.meta.shape}"
-            )
-        bad = (self.voxels > 1).sum()
-        if bad:
-            raise InvalidLabel(f"{bad} mask voxels are neither 0 nor 1")
+def is_finite_number(value) -> bool:
+    """A finite int or float; bools, strings and NaN are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -116,20 +68,119 @@ class HuWindow:
         return [self.lo, self.hi]
 
 
-def is_finite_number(value) -> bool:
-    """A finite int or float; bools, strings and NaN are not numbers here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+# What each annotated field type accepts, as an error message names it.
+_FIELD_KINDS = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a finite number", is_finite_number),
+    bool: ("true or false", lambda v: type(v) is bool),
+    str: ("a string", lambda v: type(v) is str),
+    tuple[int, ...]: ("a list of integers", lambda v: type(v) is tuple and all(type(i) is int for i in v)),
+    tuple[float, float, float]: (
+        "a list of 3 finite numbers",
+        lambda v: type(v) is tuple and len(v) == 3 and all(is_finite_number(s) for s in v),
+    ),
+    HuWindow: ("a [lo, hi] pair", lambda v: isinstance(v, HuWindow)),
+}
 
 
-def _meta_to_dict(meta: VolumeMeta) -> dict:
-    return {
-        "patient_id": meta.patient_id,
-        "height": meta.height,
-        "width": meta.width,
-        "num_slices": meta.num_slices,
-        "spacing_mm": list(meta.spacing_mm),
-        "dtype": "int16-le",
-    }
+class DictConfig:
+    """A config dataclass whose JSON dict form is derived from its fields: every
+    field in declaration order, tuples as lists, an HuWindow as [lo, hi]. A
+    subclass sets _error, the VesselSegError a malformed value raises, and
+    calls _check_types() first in __post_init__."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, raw) -> "DictConfig":
+        """The config from exactly the keys to_dict writes."""
+        kinds = get_type_hints(cls)  # field name -> annotated type, in declaration order
+        if not isinstance(raw, dict):
+            raise cls._error(f"{cls.__name__} must be a JSON object, got {raw!r}")
+        unknown, missing = sorted(set(raw) - set(kinds)), sorted(set(kinds) - set(raw))
+        if unknown or missing:
+            raise cls._error(f"{cls.__name__}: unknown keys {unknown}, missing keys {missing}")
+        return cls(**{n: _typed(kind, raw[n]) for n, kind in kinds.items()})
+
+    def _check_types(self) -> None:
+        for name, kind in get_type_hints(type(self)).items():
+            what, accepts = _FIELD_KINDS[kind]
+            if not accepts(getattr(self, name)):
+                raise self._error(f"{name} must be {what}, got {getattr(self, name)!r}")
+
+
+def _plain(value):
+    return value.to_pair() if isinstance(value, HuWindow) else list(value) if isinstance(value, tuple) else value
+
+
+def _typed(kind, value):
+    if kind is HuWindow:
+        return HuWindow.from_pair(value)
+    return tuple(value) if get_origin(kind) is tuple and isinstance(value, list) else value
+
+
+@dataclass(frozen=True)
+class VolumeMeta(DictConfig):
+    """Dimensions, voxel spacing and identity of one patient stack."""
+
+    height: int
+    width: int
+    num_slices: int
+    spacing_mm: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    patient_id: str = ""
+
+    _error = MetaParseError
+
+    def __post_init__(self):
+        self._check_types()
+        if self.height < 1 or self.width < 1 or self.num_slices < 1:
+            raise MetaParseError(f"dimensions must be >= 1, got {self.num_slices}x{self.height}x{self.width}")
+        if any(s <= 0 for s in self.spacing_mm):
+            raise MetaParseError(f"spacing_mm components must be > 0, got {self.spacing_mm}")
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """Voxel array shape in (z, y, x) order."""
+        return (self.num_slices, self.height, self.width)
+
+    @property
+    def voxel_count(self) -> int:
+        return self.num_slices * self.height * self.width
+
+
+@dataclass
+class _Stack:
+    """Voxels in (z, y, x) order with their meta; a subclass names its element
+    dtype (also its on-disk encoding) and its raw file in a patient directory."""
+
+    meta: VolumeMeta
+    voxels: np.ndarray
+
+    def __post_init__(self):
+        self.voxels = np.asarray(self.voxels, dtype=self._dtype)
+        if self.voxels.shape != self.meta.shape:
+            raise SizeMismatch(f"{type(self).__name__} shape {self.voxels.shape} does not match meta {self.meta.shape}")
+
+
+class Volume(_Stack):
+    """A CTA stack: int16 HU voxels in (z, y, x) order."""
+
+    _dtype = np.dtype("<i2")
+    _filename = VOLUME_FILENAME
+
+
+class MaskVolume(_Stack):
+    """A binary annotation stack aligned with a Volume."""
+
+    _dtype = np.dtype(np.uint8)
+    _filename = MASK_FILENAME
+
+    def __post_init__(self):
+        super().__post_init__()
+        bad = (self.voxels > 1).sum()
+        if bad:
+            raise InvalidLabel(f"{bad} mask voxels are neither 0 nor 1")
 
 
 def _read_meta(directory: Path) -> VolumeMeta:
@@ -138,71 +189,51 @@ def _read_meta(directory: Path) -> VolumeMeta:
         raise MissingFile(f"no {META_FILENAME} in {directory}")
     try:
         raw = json.loads(meta_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        if isinstance(raw, dict) and raw.pop("dtype", None) != RAW_DTYPE:
+            raise MetaParseError(f"dtype must be {RAW_DTYPE!r}")
+        return VolumeMeta.from_dict(raw)
+    except (json.JSONDecodeError, UnicodeDecodeError, MetaParseError) as exc:
         raise MetaParseError(f"{meta_path}: {exc}") from exc
-    try:
-        if raw.get("dtype", "int16-le") != "int16-le":
-            raise MetaParseError(f"{meta_path}: unsupported dtype {raw['dtype']!r}")
-        return VolumeMeta(
-            height=int(raw["height"]),
-            width=int(raw["width"]),
-            num_slices=int(raw["num_slices"]),
-            spacing_mm=tuple(float(s) for s in raw["spacing_mm"]),
-            patient_id=str(raw["patient_id"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MetaParseError(f"{meta_path}: {exc!r}") from exc
 
 
-def _write_meta(meta: VolumeMeta, directory: Path) -> None:
+def _load(cls: type[_Stack], directory: str | Path) -> _Stack:
+    directory = Path(directory)
+    meta = _read_meta(directory)
+    raw_path = directory / cls._filename
+    if not raw_path.is_file():
+        raise MissingFile(f"no {cls._filename} in {directory}")
+    size, expected = raw_path.stat().st_size, cls._dtype.itemsize * meta.voxel_count
+    if size != expected:  # by bytes: np.fromfile drops a trailing partial element
+        raise SizeMismatch(f"{raw_path}: {size} bytes, expected {expected}")
+    return cls(meta=meta, voxels=np.fromfile(raw_path, dtype=cls._dtype).reshape(meta.shape))
+
+
+def _save(stack: _Stack, directory: str | Path) -> None:
+    directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / META_FILENAME).write_text(
-        json.dumps(_meta_to_dict(meta), indent=2) + "\n", encoding="utf-8"
-    )
+    meta = {**stack.meta.to_dict(), "dtype": RAW_DTYPE}
+    (directory / META_FILENAME).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+    stack.voxels.astype(stack._dtype).tofile(directory / stack._filename)
 
 
 def load_volume(directory: str | Path) -> Volume:
     """Read meta.json + volume.raw from a patient directory."""
-    directory = Path(directory)
-    meta = _read_meta(directory)
-    raw_path = directory / VOLUME_FILENAME
-    if not raw_path.is_file():
-        raise MissingFile(f"no {VOLUME_FILENAME} in {directory}")
-    data = np.fromfile(raw_path, dtype="<i2")
-    if data.size != meta.voxel_count:
-        raise SizeMismatch(
-            f"{raw_path}: {raw_path.stat().st_size} bytes, expected {2 * meta.voxel_count}"
-        )
-    return Volume(meta=meta, voxels=data.reshape(meta.shape))
+    return _load(Volume, directory)
 
 
 def save_volume(volume: Volume, directory: str | Path) -> None:
     """Write meta.json + volume.raw (little-endian int16, z/y/x order)."""
-    directory = Path(directory)
-    _write_meta(volume.meta, directory)
-    volume.voxels.astype("<i2").tofile(directory / VOLUME_FILENAME)
+    _save(volume, directory)
 
 
 def load_mask(directory: str | Path) -> MaskVolume:
     """Read meta.json + mask.raw; any byte outside {0, 1} is an error."""
-    directory = Path(directory)
-    meta = _read_meta(directory)
-    raw_path = directory / MASK_FILENAME
-    if not raw_path.is_file():
-        raise MissingFile(f"no {MASK_FILENAME} in {directory}")
-    data = np.fromfile(raw_path, dtype=np.uint8)
-    if data.size != meta.voxel_count:
-        raise SizeMismatch(
-            f"{raw_path}: {raw_path.stat().st_size} bytes, expected {meta.voxel_count}"
-        )
-    return MaskVolume(meta=meta, voxels=data.reshape(meta.shape))
+    return _load(MaskVolume, directory)
 
 
 def save_mask(mask: MaskVolume, directory: str | Path) -> None:
     """Write meta.json + mask.raw (one byte per voxel)."""
-    directory = Path(directory)
-    _write_meta(mask.meta, directory)
-    mask.voxels.astype(np.uint8).tofile(directory / MASK_FILENAME)
+    _save(mask, directory)
 
 
 def normalize_slice(hu_slice: np.ndarray, window: HuWindow) -> np.ndarray:

@@ -43,7 +43,7 @@ def test_arithmetic_and_broadcast_grads():
     fd_check(lambda a, b: ad.tsum(ad.mul(ad.add(a, b), ad.add(a, b))), (3, 4), (4,))
     fd_check(lambda a, b: ad.tsum(ad.div(a, ad.add(ad.mul(b, b), 1.0))), (3, 4), (3, 4))
     fd_check(lambda a: ad.tmean(ad.mul(a, a)), (5, 6))
-    fd_check(lambda a: ad.tsum(ad.log(ad.add(ad.exp(a), 1.0))), (40,))
+    fd_check(lambda a: ad.tsum(ad.log(ad.add(ad.mul(a, a), 1.0))), (40,))
     fd_check(lambda a: ad.tsum(ad.clip(a, -0.5, 0.5)), (40,))
 
 

@@ -131,7 +131,10 @@ def test_predict_full_mask_overlay(trained, tmp_path):
     assert (img[:, :, 0] == 255).all()  # full mask: red channel saturated
 
 
-def test_xval_flow(tmp_path):
+@pytest.fixture(scope="module")
+def xval_run(tmp_path_factory):
+    """A micro cross-validation run over six phantoms: (data root, report path)."""
+    tmp_path = tmp_path_factory.mktemp("cli_xval")
     root = tmp_path / "zoo"
     for i in range(6):
         assert run(
@@ -149,6 +152,11 @@ def test_xval_flow(tmp_path):
     result = run("xval", "--data-root", str(root), "--folds", "2,2,2",
                  "--config", str(cfg), "--report", str(report))
     assert result.exit_code == 0
+    return root, report
+
+
+def test_xval_flow(xval_run):
+    _, report = xval_run
     payload = json.loads(report.read_text())
     assert len(payload["folds"]) == 3
     assert len(payload["plan"]["folds"]) == 3
@@ -156,6 +164,16 @@ def test_xval_flow(tmp_path):
     assert len(tested) == 3 and len(set(tested)) == 3
     folds = json.loads((report.parent / "folds.json").read_text())
     assert folds == payload["plan"]
+
+
+def test_train_accepts_an_xval_config(xval_run, tmp_path):
+    root, report = xval_run
+    cfg = report.with_suffix(".config.json")
+    assert set(json.loads(cfg.read_text())) == {"command", "model", "train", "data_root", "folds"}
+    out = tmp_path / "run"
+    result = run("train", "--data", str(root / "p00"), "--config", str(cfg), "--out", str(out), "--epochs", "0")
+    assert result.exit_code == 0
+    assert json.loads((out / "effective_config.json").read_text())["model"]["bridge_layers"] == 0
 
 
 def test_gradcheck_command(capsys):
@@ -202,6 +220,7 @@ def _section(name, **edits):
     (_section("train", epochs="2"), "epochs"),
     (_section("train", learning_rate="x"), "learning_rate"),
     (None, "no_such_config.json"),
+    ({**MICRO_CONFIG, "modle": {"input_hw": 64}}, "modle"),
 ])
 def test_malformed_train_config_exits_1(trained, tmp_path, capsys, config, field):
     _, data, _ = trained
@@ -265,6 +284,30 @@ def test_console_script_exits_1_on_a_malformed_config(trained, tmp_path):
     )
     assert proc.returncode == 1, proc.stderr
     assert "epochs" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("meta, field", [([], "JSON object"), ({"height": 32.9}, "height")])
+def test_malformed_meta_exits_1(trained, tmp_path, capsys, meta, field):
+    _, data, out = trained
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    for name in ("volume.raw", "mask.raw"):
+        (bad / name).write_bytes((data / name).read_bytes())
+    if isinstance(meta, dict):
+        meta = {**json.loads((data / "meta.json").read_text()), **meta}
+    (bad / "meta.json").write_text(json.dumps(meta))
+    ckpt = str(out / "model.ckpt")
+    for argv in (
+        ["track", "--volume", str(bad), "--seed-point", "16,16", "--t-lo", "200", "--t-hi", "500",
+         "--out", str(tmp_path / "trk"), "--events", str(tmp_path / "e.json")],
+        ["predict", "--ckpt", ckpt, "--volume", str(bad), "--out", str(tmp_path / "pred")],
+        ["eval", "--ckpt", ckpt, "--data", str(bad), "--report", str(tmp_path / "r.json")],
+    ):
+        result = run(*argv)
+        err = capsys.readouterr().err
+        assert result.exit_code == 1, err
+        assert err.startswith("vesselseg: ") and "meta.json" in err and field in err
+        assert "Traceback" not in err
 
 
 def test_bad_usage_exit_codes(tmp_path, capsys):

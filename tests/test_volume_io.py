@@ -21,16 +21,19 @@ from vesselseg.volume_io import (
 )
 
 
-def _write_meta(directory, **overrides):
-    meta = {
-        "patient_id": "t",
-        "height": 1,
-        "width": 1,
-        "num_slices": 1,
-        "spacing_mm": [1.0, 1.0, 1.0],
-        "dtype": "int16-le",
-    }
-    meta.update(overrides)
+# A valid meta.json in the key order older writers used (patient_id first).
+META = {
+    "patient_id": "t",
+    "height": 1,
+    "width": 1,
+    "num_slices": 1,
+    "spacing_mm": [1.0, 1.0, 1.0],
+    "dtype": "int16-le",
+}
+
+
+def _write_meta(directory, drop=(), **overrides):
+    meta = {k: v for k, v in {**META, **overrides}.items() if k not in drop}
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "meta.json").write_text(json.dumps(meta))
 
@@ -59,6 +62,10 @@ def test_size_mismatch(tmp_path):
     (tmp_path / "volume.raw").write_bytes(b"\x00" * 10)
     with pytest.raises(SizeMismatch):
         load_volume(tmp_path)
+    _write_meta(tmp_path)
+    (tmp_path / "volume.raw").write_bytes(b"\x05\x00\x07")  # one voxel and a stray byte
+    with pytest.raises(SizeMismatch, match="3 bytes, expected 2"):
+        load_volume(tmp_path)
 
 
 def test_missing_files(tmp_path):
@@ -75,15 +82,37 @@ def test_meta_parse_errors(tmp_path):
     (tmp_path / "meta.json").write_text("{not json")
     with pytest.raises(MetaParseError):
         load_volume(tmp_path)
-    _write_meta(tmp_path, height=0)
-    with pytest.raises(MetaParseError):
+    (tmp_path / "meta.json").write_text("[]")
+    with pytest.raises(MetaParseError, match="meta.json.*JSON object"):
         load_volume(tmp_path)
-    _write_meta(tmp_path, spacing_mm=[1.0, -1.0, 1.0])
-    with pytest.raises(MetaParseError):
-        load_volume(tmp_path)
-    _write_meta(tmp_path, dtype="f32")
-    with pytest.raises(MetaParseError):
-        load_volume(tmp_path)
+    cases = [
+        ({"height": 0}, "dimensions"),
+        ({"spacing_mm": [1.0, -1.0, 1.0]}, "spacing_mm"),
+        ({"dtype": "f32"}, "dtype"),
+        ({"drop": ["dtype"]}, "dtype"),
+        ({"drop": ["height"]}, "height"),
+        ({"height": 32.9}, "height"),
+        ({"patient_id": 7}, "patient_id"),
+        ({"spacing_mm": [1, 1]}, "spacing_mm"),
+        ({"spacing_mm": "1,1,1"}, "spacing_mm"),
+        ({"num_slices": True}, "num_slices"),
+        ({"voxel_size": [1.0, 1.0, 1.0]}, "voxel_size"),
+    ]
+    for overrides, field in cases:
+        _write_meta(tmp_path, **overrides)
+        for load in (load_volume, load_mask):
+            with pytest.raises(MetaParseError, match=f"meta.json.*{field}"):
+                load(tmp_path)
+
+
+def test_meta_json_keys_and_types(tmp_path):
+    meta = VolumeMeta(height=3, width=2, num_slices=1, spacing_mm=(0.5, 0.5, 2.0), patient_id="p")
+    save_mask(MaskVolume(meta=meta, voxels=np.zeros((1, 3, 2), dtype=np.uint8)), tmp_path)
+    written = json.loads((tmp_path / "meta.json").read_text())
+    assert written == {"patient_id": "p", "height": 3, "width": 2, "num_slices": 1,
+                       "spacing_mm": [0.5, 0.5, 2.0], "dtype": "int16-le"}
+    _write_meta(tmp_path, **written)  # the same dict in the older key order
+    assert load_mask(tmp_path).meta == meta
 
 
 def test_all_zero_mask_file_bytes(tmp_path):
