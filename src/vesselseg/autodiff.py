@@ -4,8 +4,9 @@ A Tensor wraps an ndarray and remembers how it was produced; backward()
 walks the graph in reverse topological order and accumulates vector-
 Jacobian products into .grad. The op set is exactly what the network
 needs: elementwise arithmetic, matmul, convolution, max pooling,
-batch/layer norm, the usual activations, nearest-neighbor upsampling,
-concat and shape moves.
+train-mode batch norm, layer norm, the usual activations,
+nearest-neighbor upsampling, the sub-pixel phase interleave, slicing
+along one axis and shape moves.
 
 Backward consumes the graph: each non-leaf node drops its vjps and its
 .grad as soon as its vjps have run, so the memory behind it is freed
@@ -13,8 +14,9 @@ during the walk, and only leaves keep .grad. Each activation sits on the
 tape once. The convolution and batch-norm vjps keep only their inputs'
 data, which the input tensors hold anyway, and per-channel state; they
 rebuild the phase buffer, the tap weights and the normalized input at
-backward time. Relu keeps a bool mask and max pooling one byte per output.
-Vjps read parameter data at backward time.
+backward time. Relu keeps a bool mask and max pooling one byte per output,
+both only when their input is on a grad path. Vjps read parameter data at
+backward time.
 
 Convolution uses cross-correlation semantics (no kernel flip) and builds
 no im2col matrix: it sums one GEMM per kernel tap (one GEMM over all taps
@@ -142,14 +144,18 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _on_tape(x: Tensor) -> bool:
+    """Whether an op on x records a vjp: grad is enabled and x is on a grad path."""
+    return _grad_enabled and (x.requires_grad or bool(x._inputs))
+
+
 def _make(data, inputs) -> Tensor:
     """Build an op result, attaching vjps only when a grad path exists."""
     out = Tensor(data)
-    if _grad_enabled:
-        live = [(p, fn) for p, fn in inputs if p.requires_grad or p._inputs]
-        if live:
-            out._inputs = live
-            out.requires_grad = True
+    live = [(p, fn) for p, fn in inputs if _on_tape(p)]
+    if live:
+        out._inputs = live
+        out.requires_grad = True
     return out
 
 
@@ -260,23 +266,18 @@ def transpose(x, axes) -> Tensor:
     return _make(x.data.transpose(axes), [(x, lambda g: g.transpose(inv))])
 
 
-def concat(tensors, axis: int) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+def slice_axis(x, axis: int, start: int, stop: int) -> Tensor:
+    """x[start:stop] along one axis, as a view; the gradient is zero outside it."""
+    x = as_tensor(x)
+    shape = x.data.shape
+    index = (slice(None),) * axis + (slice(start, stop),)
 
-    def vjp_for(i):
-        def vjp(g):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(offsets[i], offsets[i + 1])
-            return g[tuple(index)]
+    def vjp(g):
+        gx = np.zeros(shape, g.dtype)
+        gx[index] = g
+        return gx
 
-        return vjp
-
-    return _make(
-        np.concatenate([t.data for t in tensors], axis=axis),
-        [(t, vjp_for(i)) for i, t in enumerate(tensors)],
-    )
+    return _make(x.data[index], [(x, vjp)])
 
 
 # -- matmul and linear -----------------------------------------------------
@@ -307,9 +308,13 @@ def linear(x, weight, bias=None) -> Tensor:
 
 
 def relu(x) -> Tensor:
+    """max(x, 0); the bool mask backward reads is built only when x is on a grad path."""
     x = as_tensor(x)
+    out_data = np.maximum(x.data, 0)
+    if not _on_tape(x):
+        return Tensor(out_data)
     mask = x.data > 0
-    return _make(np.maximum(x.data, 0), [(x, lambda g: g * mask)])
+    return _make(out_data, [(x, lambda g: g * mask)])
 
 
 def sigmoid(x) -> Tensor:
@@ -362,15 +367,15 @@ def batch_norm(
     beta,
     running_mean: np.ndarray,
     running_var: np.ndarray,
-    training: bool,
     momentum: float = 0.9,
     eps: float = 1e-5,
 ) -> Tensor:
-    """Per-channel batch norm over an NCHW map.
+    """Train-mode batch norm over an NCHW map.
 
-    Training mode normalizes with biased batch statistics and updates the
-    running arrays in place (kept fraction = momentum); eval mode uses the
-    running statistics as fixed constants.
+    Normalizes each channel with its biased batch statistics and updates
+    the running arrays in place (kept fraction = momentum). Eval mode has
+    no op of its own: the model folds the running statistics into the
+    convolution before the norm.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     d = x.data
@@ -381,17 +386,12 @@ def batch_norm(
         )
     axes = (0, 2, 3)
     shape = (1, d.shape[1], 1, 1)
-    if training:
-        mean = d.mean(axis=axes)
-        var = d.var(axis=axes)
-        running_mean *= momentum
-        running_mean += (1.0 - momentum) * mean
-        running_var *= momentum
-        running_var += (1.0 - momentum) * var
-    else:
-        # a copy, so a later train-mode forward cannot move the mean backward reads
-        mean = running_mean.astype(d.dtype)
-        var = running_var.astype(d.dtype, copy=False)
+    mean = d.mean(axis=axes)
+    var = d.var(axis=axes)
+    running_mean *= momentum
+    running_mean += (1.0 - momentum) * mean
+    running_var *= momentum
+    running_var += (1.0 - momentum) * var
     inv = 1.0 / np.sqrt(var + eps)
 
     def xhat():  # recomputed by the vjps, so only the input stays on the tape
@@ -405,8 +405,6 @@ def batch_norm(
 
     def vjp_x(g):
         gxhat = g * gamma.data.reshape(shape)
-        if not training:
-            return gxhat * inv.reshape(shape)
         xh = xhat()
         n = d.shape[0] * d.shape[2] * d.shape[3]
         s1 = gxhat.sum(axis=axes).reshape(shape)
@@ -570,8 +568,10 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     pairs = zip(groups, tap_weights())
     taps, wg = next(pairs)
     acc = np.matmul(wg, stacked(X, taps))
+    prod = None  # one product buffer, reused by every later group
     for taps, wg in pairs:
-        acc += np.matmul(wg, stacked(X, taps))
+        prod = np.matmul(wg, stacked(X, taps), out=prod)
+        acc += prod
     del X
     out_data = acc.reshape(n, c_out, oh, pw)[:, :, :, :ow]
     if bias is not None:
@@ -588,8 +588,9 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     def vjp_x(g):
         gp = padded(g)
         gX = np.zeros((n, len(phases), c_in, grid[0] * pw + spare), dtype)
+        gv = None  # every group has the same K, so one product buffer serves all
         for taps, wg in zip(groups, tap_weights()):
-            gv = np.matmul(wg.T, gp)
+            gv = np.matmul(wg.T, gp, out=gv)
             for t, (k, off) in enumerate(offsets(taps)):
                 gX[:, k, :, off : off + L] += gv[:, t * c_in : (t + 1) * c_in]
         return _phase_merge(gX, grid, spans, d.shape, s)
@@ -639,7 +640,7 @@ def max_pool2d(x, kernel: int = 3, stride: int = 2, padding: int = 1) -> Tensor:
         return _grid(X[:, k], *grid)[:, :, i // s : i // s + oh, j // s : j // s + ow]
 
     out_data = tap(0, 0).copy()
-    on_tape = _grad_enabled and (x.requires_grad or bool(x._inputs))
+    on_tape = _on_tape(x)
     first = np.zeros(out_data.shape, np.min_scalar_type(len(taps) - 1)) if on_tape else None
     for t, (i, j) in enumerate(taps[1:], 1):
         if on_tape:  # move the argmax only on a strictly larger value, so ties keep the first
@@ -674,3 +675,35 @@ def upsample_nearest2x(x) -> Tensor:
         return g.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5))
 
     return _make(out_data, [(x, vjp)])
+
+
+def interleave_phases(z) -> Tensor:
+    """Interleave four phase maps into one map of twice the size (sub-pixel shuffle).
+
+    z is (n, 4c, h + 1, w + 1). Phase (a, b) is channels (2a + b) * c up to
+    the next c, and its window [a : a + h, b : b + w] fills
+    out[:, :, 2r + a, 2s + b]; the row and column outside each window are
+    dropped. The vjp gathers the output gradient back into those windows.
+    """
+    z = as_tensor(z)
+    shape = z.data.shape
+    if z.data.ndim != 4 or shape[1] % 4:
+        raise ShapeMismatch(f"interleave_phases expects (n, 4c, h + 1, w + 1), got {shape}")
+    n, c, h, w = shape[0], shape[1] // 4, shape[2] - 1, shape[3] - 1
+    phases = [(a, b) for a in (0, 1) for b in (0, 1)]
+
+    def window(arr, k, a, b):
+        return arr[:, k * c : (k + 1) * c, a : a + h, b : b + w]
+
+    out = np.empty((n, c, h, 2, w, 2), z.data.dtype)
+    for k, (a, b) in enumerate(phases):
+        out[:, :, :, a, :, b] = window(z.data, k, a, b)
+
+    def vjp(g):
+        g = g.reshape(n, c, h, 2, w, 2)
+        gz = np.zeros(shape, g.dtype)
+        for k, (a, b) in enumerate(phases):
+            window(gz, k, a, b)[...] = g[:, :, :, a, :, b]
+        return gz
+
+    return _make(out.reshape(n, c, 2 * h, 2 * w), [(z, vjp)])

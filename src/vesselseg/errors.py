@@ -26,6 +26,10 @@ class InvalidLabel(VesselSegError):
     pass
 
 
+class OutputNotWritable(VesselSegError):
+    """An output directory cannot be created, e.g. a file holds its path."""
+
+
 # phantom
 class OutOfRange(VesselSegError):
     pass

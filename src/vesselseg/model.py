@@ -6,10 +6,17 @@ Its H/32 output is flattened to tokens, linearly projected, given learned
 positional embeddings, run through pre-norm transformer layers, projected
 back and re-assembled into a feature map (layer norm + 3x3 conv + ReLU).
 With bridge_layers = 0 the bridge is skipped entirely, which degrades the
-network to a plain residual U-Net. The decoder upsamples 2x four times,
-concatenating one skip per block and applying a single conv-BN-ReLU; a
-final 2x upsample and 1x1 sigmoid conv produce the full-resolution
-probability map.
+network to a plain residual U-Net. Each of the four decoder blocks is one
+conv-BN-ReLU over its input upsampled 2x and concatenated with one skip;
+the conv runs as a 3x3 conv of the skip plus a sub-pixel conv of the
+low-res input, so neither the upsampled map nor the concat is built. A
+1x1 sigmoid conv at H/2, then a final 2x upsample, produce the
+full-resolution probability map (the head acts per pixel, so it commutes
+with the upsample).
+
+Every batch norm follows a conv (conv_bn). In train mode it normalizes
+with batch statistics; in eval mode its running statistics are folded
+into that conv's weight and bias, so an eval forward runs no norm op.
 
 Parameters live in a ParamStore: a flat, canonically ordered mapping from
 tensor name to autodiff Tensor whose names and shapes are fixed by the
@@ -20,6 +27,7 @@ entries of the same store; a tensor's requires_grad is its trainable flag.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -275,26 +283,44 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParamStore:
 # -- forward passes ---------------------------------------------------------
 
 
-def _bn(x: Tensor, ps: ParamStore, prefix: str, training: bool) -> Tensor:
-    return ad.batch_norm(
-        x,
-        ps[f"{prefix}.gamma"],
-        ps[f"{prefix}.beta"],
-        ps.data(f"{prefix}.running_mean"),
-        ps.data(f"{prefix}.running_var"),
-        training=training,
-    )
+_BN_EPS = 1e-5
+
+
+def conv_bn(conv, ps: ParamStore, weight: str, bn: str, training: bool) -> Tensor:
+    """conv(W, bias) followed by the batch norm named bn, with W = ps[weight].
+
+    Train mode runs conv(W, None), then batch_norm on batch statistics,
+    which also moves the running statistics. Eval mode folds the running
+    statistics into the convolution (Jacob et al. 2018, arXiv:1712.05877):
+    with s = gamma / sqrt(running_var + eps) it runs one conv(W * s,
+    beta - running_mean * s). The fold is built from ad ops, so gamma, beta
+    and W get gradients in either mode.
+    """
+    w = ps[weight]
+    if training:
+        return ad.batch_norm(
+            conv(w, None),
+            ps[f"{bn}.gamma"],
+            ps[f"{bn}.beta"],
+            ps.data(f"{bn}.running_mean"),
+            ps.data(f"{bn}.running_var"),
+            eps=_BN_EPS,
+        )
+    inv = 1.0 / np.sqrt(ps.data(f"{bn}.running_var") + _BN_EPS)
+    s = ad.mul(ps[f"{bn}.gamma"], inv)
+    bias = ad.add(ps[f"{bn}.beta"], ad.mul(s, -ps.data(f"{bn}.running_mean")))
+    return conv(ad.mul(w, ad.reshape(s, (-1, 1, 1, 1))), bias)
 
 
 def residual_block(x: Tensor, ps: ParamStore, prefix: str, stride: int, training: bool) -> Tensor:
     """conv3x3(stride)-BN-ReLU-conv3x3-BN plus (projected) shortcut, ReLU."""
-    y = ad.conv2d(x, ps[f"{prefix}.conv1.weight"], stride=stride, padding=1)
-    y = ad.relu(_bn(y, ps, f"{prefix}.bn1", training))
-    y = ad.conv2d(y, ps[f"{prefix}.conv2.weight"], stride=1, padding=1)
-    y = _bn(y, ps, f"{prefix}.bn2", training)
+    conv1 = partial(ad.conv2d, x, stride=stride, padding=1)
+    y = ad.relu(conv_bn(conv1, ps, f"{prefix}.conv1.weight", f"{prefix}.bn1", training))
+    conv2 = partial(ad.conv2d, y, stride=1, padding=1)
+    y = conv_bn(conv2, ps, f"{prefix}.conv2.weight", f"{prefix}.bn2", training)
     if f"{prefix}.downsample.conv.weight" in ps:
-        shortcut = ad.conv2d(x, ps[f"{prefix}.downsample.conv.weight"], stride=stride, padding=0)
-        shortcut = _bn(shortcut, ps, f"{prefix}.downsample.bn", training)
+        project = partial(ad.conv2d, x, stride=stride, padding=0)
+        shortcut = conv_bn(project, ps, f"{prefix}.downsample.conv.weight", f"{prefix}.downsample.bn", training)
     else:
         shortcut = x
     return ad.relu(y + shortcut)
@@ -305,8 +331,8 @@ def encoder_forward(
 ) -> tuple[Tensor, list[Tensor]]:
     """Run the residual encoder; returns (H/32 map, [S1, S2, S3, S4] skips)."""
     cfg = ps.config
-    y = ad.conv2d(x, ps["encoder.stem.conv.weight"], stride=2, padding=3)
-    s1 = ad.relu(_bn(y, ps, "encoder.stem.bn", training))
+    stem = partial(ad.conv2d, x, stride=2, padding=3)
+    s1 = ad.relu(conv_bn(stem, ps, "encoder.stem.conv.weight", "encoder.stem.bn", training))
     y = ad.max_pool2d(s1, kernel=3, stride=2, padding=1)
     skips = [s1]
     for li, blocks in enumerate(cfg.encoder_block_counts, start=1):
@@ -376,16 +402,43 @@ def bridge_forward(bridge_in: Tensor, ps: ParamStore) -> Tensor:
     return ad.relu(fm)
 
 
+# Row (and column) fold of a 3x3 kernel read through a nearest 2x upsample:
+# output parity a reads low-res rows r - 1 + a and r + a, and A[a][p, i] says
+# whether kernel row i lands on the p-th of them.
+_UPSAMPLE_TAPS = np.array([[[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]]])
+# (9, 16): kernel tap (i, j) to phase-kernel tap (a, b, p, q), W_ab = A_a W A_b^T.
+_SUBPIXEL_FOLD = np.einsum("api,bqj->ijabpq", _UPSAMPLE_TAPS, _UPSAMPLE_TAPS).reshape(9, 16)
+
+
+def _upsample_concat_conv(y: Tensor, skip: Tensor, w: Tensor, bias) -> Tensor:
+    """conv3x3(concat(upsample2x(y), skip), w, bias), padding 1, without the
+    upsample or the concat.
+
+    The skip channels are one 3x3 conv at full size. The y channels are a
+    sub-pixel conv (Shi et al. 2016, arXiv:1609.05158): their 3x3 weights
+    fold into one 2x2 kernel per output parity, stacked phase-major as
+    (4 * c_out, c_y, 2, 2), so the low-res y goes through one conv with 4x
+    the output rows and 4/9 of the multiply-adds, and interleave_phases
+    places each phase on its output pixels.
+    """
+    c_out, c_in = w.shape[:2]
+    c_y = y.shape[1]
+    w_y = ad.reshape(ad.slice_axis(w, 1, 0, c_y), (c_out * c_y, 9))
+    folded = ad.reshape(ad.matmul(w_y, _SUBPIXEL_FOLD.astype(w.data.dtype)), (c_out, c_y, 4, 2, 2))
+    folded = ad.reshape(ad.transpose(folded, (2, 0, 1, 3, 4)), (4 * c_out, c_y, 2, 2))
+    up = ad.interleave_phases(ad.conv2d(y, folded, stride=1, padding=1))
+    return ad.conv2d(skip, ad.slice_axis(w, 1, c_y, c_in), bias, stride=1, padding=1) + up
+
+
 def decoder_forward(
     bridge_out: Tensor, skips: list[Tensor], ps: ParamStore, training: bool
 ) -> Tensor:
-    """Four upsample-concat-conv blocks, consuming skips S4 down to S1."""
+    """Four blocks of conv-BN-ReLU over (upsampled y, skip), consuming skips
+    S4 down to S1; each conv runs as _upsample_concat_conv."""
     y = bridge_out
     for i, skip in enumerate(reversed(skips)):
-        y = ad.upsample_nearest2x(y)
-        y = ad.concat([y, skip], axis=1)
-        y = ad.conv2d(y, ps[f"decoder.block{i}.conv.weight"], stride=1, padding=1)
-        y = ad.relu(_bn(y, ps, f"decoder.block{i}.bn", training))
+        conv = partial(_upsample_concat_conv, y, skip)
+        y = ad.relu(conv_bn(conv, ps, f"decoder.block{i}.conv.weight", f"decoder.block{i}.bn", training))
     return y
 
 
@@ -421,11 +474,11 @@ def model_forward(x, ps: ParamStore, mode: str = "eval") -> Tensor:
     _check_finite("bridge", bridged)
     decoded = decoder_forward(bridged, skips, ps, training)
     _check_finite("decoder", decoded)
-    y = ad.upsample_nearest2x(decoded)
-    y = ad.conv2d(y, ps["head.conv.weight"], ps["head.conv.bias"], stride=1, padding=0)
+    # the 1x1 head and the sigmoid act per pixel, so they run before the upsample
+    y = ad.conv2d(decoded, ps["head.conv.weight"], ps["head.conv.bias"], stride=1, padding=0)
     probs = ad.sigmoid(y)
     _check_finite("head", probs)
-    return ad.transpose(probs, (0, 2, 3, 1))
+    return ad.transpose(ad.upsample_nearest2x(probs), (0, 2, 3, 1))
 
 
 def model_input(hu_slices: np.ndarray, window: HuWindow) -> np.ndarray:

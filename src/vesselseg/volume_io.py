@@ -30,7 +30,7 @@ from typing import get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import InvalidLabel, MetaParseError, MissingFile, SizeMismatch
+from .errors import InvalidLabel, MetaParseError, MissingFile, OutputNotWritable, SizeMismatch
 
 META_FILENAME = "meta.json"
 VOLUME_FILENAME = "volume.raw"
@@ -210,7 +210,10 @@ def _load(cls: type[_Stack], directory: str | Path) -> _Stack:
 
 def _save(stack: _Stack, directory: str | Path) -> None:
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputNotWritable(f"cannot create output directory {directory}: {exc.strerror}") from exc
     meta = {**stack.meta.to_dict(), "dtype": RAW_DTYPE}
     (directory / META_FILENAME).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
     stack.voxels.astype(stack._dtype).tofile(directory / stack._filename)

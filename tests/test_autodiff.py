@@ -1,7 +1,9 @@
 """Finite-difference verification of every op, analytic spot checks, and
 convolution and max pooling against independent reference implementations."""
 
+import tracemalloc
 import types
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from vesselseg import autodiff as ad
 from vesselseg.autodiff import Tensor
 from vesselseg.errors import ShapeMismatch
 from vesselseg.losses import bcej_loss
-from vesselseg.model import init_params, model_forward, tiny_config
+from vesselseg.model import ParamStore, conv_bn, init_params, model_forward, tiny_config
 
 RNG = np.random.default_rng(20240101)
 
@@ -65,8 +67,26 @@ def test_activation_grads():
 
 def test_shape_op_grads():
     fd_check(lambda a: ad.tsum(ad.mul(ad.transpose(ad.reshape(a, (2, 2, 3, 4)), (0, 2, 1, 3)), 2.0)), (4, 12))
-    m = Tensor(RNG.normal(size=(2, 8)))
-    fd_check(lambda a, b: ad.tsum(ad.mul(ad.concat([a, b], 1), m)), (2, 3), (2, 5))
+    m = Tensor(RNG.normal(size=(2, 3, 4)))
+    fd_check(lambda a: ad.tsum(ad.mul(ad.slice_axis(a, 1, 2, 5), m)), (2, 7, 4))
+    fd_check(lambda a: ad.tsum(ad.mul(ad.slice_axis(a, 0, 0, 2), m)), (3, 3, 4))
+
+
+@pytest.mark.parametrize("h, w", [(3, 4), (4, 4), (5, 3)])
+def test_interleave_phases_values_and_grads(h, w):
+    z = RNG.normal(size=(2, 4 * 3, h + 1, w + 1))
+    want = np.empty((2, 3, 2 * h, 2 * w))
+    for a in (0, 1):
+        for b in (0, 1):
+            k = 2 * a + b
+            for r in range(h):
+                for s in range(w):
+                    want[:, :, 2 * r + a, 2 * s + b] = z[:, 3 * k : 3 * k + 3, r + a, s + b]
+    np.testing.assert_array_equal(ad.interleave_phases(Tensor(z)).data, want)
+    m = Tensor(RNG.normal(size=want.shape))
+    fd_check(lambda z: ad.tsum(ad.mul(ad.interleave_phases(z), m)), z.shape)
+    with pytest.raises(ShapeMismatch):
+        ad.interleave_phases(Tensor(np.zeros((1, 6, 3, 3))))
 
 
 def test_conv2d_grads():
@@ -92,15 +112,15 @@ def test_norm_grads():
 
     def bn_train(x, g, b):
         rm, rv = np.zeros(3), np.ones(3)
-        return ad.tsum(ad.mul(ad.batch_norm(x, g, b, rm, rv, training=True), mb))
+        return ad.tsum(ad.mul(ad.batch_norm(x, g, b, rm, rv), mb))
 
     fd_check(bn_train, (2, 3, 4, 4), (3,), (3,))
 
-    def bn_eval(x, g, b):
-        rm, rv = np.full(3, 0.1), np.full(3, 1.3)
-        return ad.tsum(ad.mul(ad.batch_norm(x, g, b, rm, rv, training=False), mb))
+    def bn_eval(x, w, g, b):  # eval mode: the running statistics folded into the conv
+        ps = _conv_bn_store(w, g, b, np.full(3, 0.1), np.full(3, 1.3))
+        return ad.tsum(ad.mul(conv_bn(partial(ad.conv2d, x, padding=1), ps, "conv.weight", "bn", False), mb))
 
-    fd_check(bn_eval, (2, 3, 4, 4), (3,), (3,))
+    fd_check(bn_eval, (2, 2, 4, 4), (3, 2, 3, 3), (3,), (3,))
 
 
 def test_train_bn_chain_with_skip_fanout():
@@ -115,10 +135,10 @@ def test_train_bn_chain_with_skip_fanout():
     m2 = Tensor(RNG.normal(size=(2, 3, 8, 8)))
 
     def forward():
-        s = ad.relu(ad.batch_norm(x, g1, b1, np.zeros(3), np.ones(3), training=True))
+        s = ad.relu(ad.batch_norm(x, g1, b1, np.zeros(3), np.ones(3), ))
         y = ad.max_pool2d(s)
         y = ad.conv2d(y, w, None, 1, 1)
-        y = ad.batch_norm(y, g2, b2, np.zeros(4), np.ones(4), training=True)
+        y = ad.batch_norm(y, g2, b2, np.zeros(4), np.ones(4), )
         return ad.tsum(ad.mul(y, m1)) + ad.tsum(ad.mul(s, m2))
 
     loss = forward()
@@ -191,7 +211,7 @@ def test_batch_norm_train_statistics():
     x = Tensor(RNG.normal(loc=3.0, scale=2.0, size=(4, 3, 8, 8)))
     gamma = Tensor(np.array([1.0, 2.0, 0.5]))
     beta = Tensor(np.array([0.0, -1.0, 4.0]))
-    out = ad.batch_norm(x, gamma, beta, np.zeros(3), np.ones(3), training=True)
+    out = ad.batch_norm(x, gamma, beta, np.zeros(3), np.ones(3), )
     for c in range(3):
         vals = out.data[:, c]
         assert vals.mean() == pytest.approx(beta.data[c], abs=1e-5)
@@ -201,15 +221,28 @@ def test_batch_norm_train_statistics():
 def test_batch_norm_running_update_momentum():
     x = Tensor(RNG.normal(size=(2, 3, 4, 4)))
     rm, rv = np.zeros(3), np.ones(3)
-    ad.batch_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), rm, rv, training=True)
+    ad.batch_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), rm, rv, )
     np.testing.assert_allclose(rm, 0.1 * x.data.mean(axis=(0, 2, 3)), rtol=1e-6)
     np.testing.assert_allclose(rv, 0.9 + 0.1 * x.data.var(axis=(0, 2, 3)), rtol=1e-6)
 
 
+def _conv_bn_store(w, gamma, beta, running_mean, running_var) -> ParamStore:
+    tensors = {"conv.weight": w, "bn.gamma": gamma, "bn.beta": beta}
+    tensors |= {"bn.running_mean": Tensor(running_mean), "bn.running_var": Tensor(running_var)}
+    return ParamStore(tiny_config(), tensors)
+
+
 def test_batch_norm_eval_analytic():
-    x = Tensor(RNG.normal(size=(2, 3, 4, 4)))
-    out = ad.batch_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), np.zeros(3), np.ones(3), training=False)
-    np.testing.assert_allclose(out.data, x.data / np.sqrt(1 + 1e-5), rtol=1e-12)
+    """Eval-mode batch norm, folded into the conv before it, against the
+    unfolded (x - running_mean) / sqrt(running_var + eps) * gamma + beta."""
+    x = RNG.normal(size=(2, 3, 4, 4))
+    gamma, beta = RNG.uniform(0.5, 1.5, 3), RNG.normal(size=3)
+    mean, var = RNG.normal(size=3), RNG.uniform(0.5, 2.0, 3)
+    ps = _conv_bn_store(Tensor(np.eye(3).reshape(3, 3, 1, 1)), Tensor(gamma), Tensor(beta), mean, var)
+    out = conv_bn(partial(ad.conv2d, Tensor(x)), ps, "conv.weight", "bn", training=False)
+    shape = (1, 3, 1, 1)
+    want = (x - mean.reshape(shape)) / np.sqrt(var.reshape(shape) + 1e-5) * gamma.reshape(shape) + beta.reshape(shape)
+    np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-14)
 
 
 def test_layer_norm_values():
@@ -234,6 +267,24 @@ def test_activation_values():
     rows = ad.softmax(Tensor(RNG.normal(size=(20, 9)))).data
     np.testing.assert_allclose(rows.sum(axis=-1), 1.0, atol=1e-6)
     assert ((rows > 0) & (rows < 1)).all()
+
+
+def test_relu_builds_its_mask_only_on_a_grad_path():
+    x = Tensor(RNG.normal(size=(100, 80)), requires_grad=True)
+    with ad.no_grad():
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        out = ad.relu(x)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert out._inputs == [] and not out.requires_grad
+    assert peak < out.data.nbytes + x.data.size // 2  # the output, and no bool mask
+    np.testing.assert_array_equal(out.data, np.maximum(x.data, 0))
+    assert ad.relu(Tensor(x.data))._inputs == []  # not on a grad path either
+
+    out = ad.relu(x)
+    (vjp,) = [fn for _, fn in out._inputs]
+    (mask,) = _closure_arrays([vjp])
+    np.testing.assert_array_equal(mask, x.data > 0)
 
 
 def test_no_grad_blocks_graph():
@@ -503,10 +554,13 @@ def test_conv_and_batch_norm_vjps_keep_only_inputs_and_per_channel_state(c_in, s
     def param(*shape):
         return Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
 
-    x, w, b, gamma, beta = param(2, c_in, 12, 12), param(c_out, c_in, 3, 3), param(c_out), param(c_out), param(c_out)
-    y = ad.conv2d(x, w, b, stride=stride, padding=1)
-    z = ad.batch_norm(y, gamma, beta, np.zeros(c_out), np.ones(c_out), training=training)
-    for out, inputs in ((y, (x, w, b)), (z, (y, gamma, beta))):
-        own = {id(_base(t.data)) for t in inputs}
+    x, w, gamma, beta = param(2, c_in, 12, 12), param(c_out, c_in, 3, 3), param(c_out), param(c_out)
+    ps = _conv_bn_store(w, gamma, beta, np.zeros(c_out, np.float32), np.ones(c_out, np.float32))
+    # train mode is conv then batch_norm; eval mode folds the norm into the conv
+    z = conv_bn(partial(ad.conv2d, x, stride=stride, padding=1), ps, "conv.weight", "bn", training)
+    nodes = [t for t in _graph_nodes(z) if t._inputs]
+    assert len(nodes) >= (2 if training else 6)
+    for out in nodes:
+        own = {id(_base(p.data)) for p, _ in out._inputs}
         for a in _closure_arrays([vjp for _, vjp in out._inputs]):
             assert id(a) in own or a.size <= max(c_in, c_out), (a.shape, a.dtype)

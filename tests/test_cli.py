@@ -310,6 +310,24 @@ def test_malformed_meta_exits_1(trained, tmp_path, capsys, meta, field):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["phantom", "track", "predict"])
+def test_out_naming_an_existing_file_exits_1(trained, tmp_path, capsys, command):
+    _, data, out = trained
+    afile = tmp_path / "afile"
+    afile.touch()
+    argv = {
+        "phantom": ["phantom", "--slices", "4", "--size", "32"],
+        "track": ["track", "--volume", str(data), "--seed-point", "16,16", "--t-lo", "200", "--t-hi", "500",
+                  "--events", str(tmp_path / "e.json")],
+        "predict": ["predict", "--ckpt", str(out / "model.ckpt"), "--volume", str(data)],
+    }[command]
+    result = run(*argv, "--out", str(afile))
+    err = capsys.readouterr().err
+    assert result.exit_code == 1, err
+    assert err.startswith("vesselseg: ") and str(afile) in err and "Traceback" not in err
+    assert afile.is_file() and afile.stat().st_size == 0
+
+
 def test_bad_usage_exit_codes(tmp_path, capsys):
     assert run("phantom", "--nope").exit_code == 1
     assert run("phantom").exit_code == 1  # missing --out

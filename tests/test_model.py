@@ -13,6 +13,7 @@ import pytest
 
 import vesselseg
 from vesselseg import autodiff as ad
+from vesselseg import model as model_module
 from vesselseg.autodiff import Tensor
 from vesselseg.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from vesselseg.errors import (
@@ -256,16 +257,118 @@ def test_decoder_channel_sequence():
     x = Tensor(RNG.uniform(size=(1, 3, 64, 64)).astype(np.float32))
     with ad.no_grad():
         bridge_in, skips = encoder_forward(x, ps, training=False)
-        y = bridge_in
+        y = bridge_in.data
         shapes = []
         for i, skip in enumerate(reversed(skips)):
-            y = ad.upsample_nearest2x(y)
-            y = ad.concat([y, skip], axis=1)
-            y = ad.conv2d(y, ps[f"decoder.block{i}.conv.weight"], stride=1, padding=1)
-            shapes.append(y.data.shape)
+            y = np.concatenate([y.repeat(2, axis=2).repeat(2, axis=3), skip.data], axis=1)
+            y = ad.conv2d(Tensor(y), ps[f"decoder.block{i}.conv.weight"], stride=1, padding=1).data
+            shapes.append(y.shape)
         out = decoder_forward(bridge_in, skips, ps, training=False)
     assert [s[1] for s in shapes] == list(cfg.decoder_widths)
     assert out.data.shape == (1, cfg.decoder_widths[-1], 32, 32)
+
+
+# -- the folded eval norm and the sub-pixel decoder against the unfolded oracle --
+
+
+def _concat_oracle(a: Tensor, b: Tensor) -> Tensor:
+    """Channel concat as a graph node, as the decoder ran it before the sub-pixel conv."""
+    c = a.shape[1]
+    return ad._make(np.concatenate([a.data, b.data], axis=1), [(a, lambda g: g[:, :c]), (b, lambda g: g[:, c:])])
+
+
+def _upsample_concat_conv_oracle(y, skip, w, bias):
+    return ad.conv2d(_concat_oracle(ad.upsample_nearest2x(y), skip), w, bias, stride=1, padding=1)
+
+
+def _unfolded_conv_bn(conv, ps, weight, bn, training):
+    """conv, then batch norm; in eval (x - running_mean) / sqrt(running_var + eps) * gamma + beta."""
+    y = conv(ps[weight], None)
+    gamma, beta, mean, var = (f"{bn}.{k}" for k in ("gamma", "beta", "running_mean", "running_var"))
+    if training:
+        return ad.batch_norm(y, ps[gamma], ps[beta], ps.data(mean), ps.data(var))
+    shape = (1, -1, 1, 1)
+    xhat = ad.mul(ad.add(y, -ps.data(mean).reshape(shape)), 1.0 / np.sqrt(ps.data(var).reshape(shape) + 1e-5))
+    return ad.add(ad.mul(xhat, ad.reshape(ps[gamma], shape)), ad.reshape(ps[beta], shape))
+
+
+def _unfold(monkeypatch):
+    monkeypatch.setattr(model_module, "conv_bn", _unfolded_conv_bn)
+    monkeypatch.setattr(model_module, "_upsample_concat_conv", _upsample_concat_conv_oracle)
+
+
+def _perturb_norms(ps, rng, stats: bool) -> None:
+    for name in ps.names():
+        if not name.startswith(("encoder.", "decoder.")):
+            continue
+        data = ps.data(name)
+        if name.endswith(".gamma"):
+            data[:] = rng.uniform(0.8, 1.2, data.shape)
+        elif name.endswith(".beta"):
+            data[:] = rng.normal(0.0, 0.1, data.shape)
+        elif stats and name.endswith(".running_mean"):
+            data[:] = rng.normal(0.0, 0.3, data.shape)
+        elif stats and name.endswith(".running_var"):
+            data[:] = rng.uniform(0.5, 2.0, data.shape)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-10)])
+@pytest.mark.parametrize("training", [False, True])
+def test_decoder_forward_matches_the_upsample_concat_oracle(monkeypatch, dtype, tol, training):
+    cfg = small_cfg(hw=64)
+    rng = np.random.default_rng(11)
+    w = cfg.encoder_widths
+    shapes = [(2, w[4], 2, 2)] + [(2, w[i], 32 >> i, 32 >> i) for i in range(4)]
+    inputs = [rng.normal(size=s).astype(dtype) for s in shapes]
+    m = rng.normal(size=(2, cfg.decoder_widths[-1], 32, 32)).astype(dtype)
+    results = []
+    for unfolded in (False, True):
+        ps = init_params(cfg, 0, dtype=dtype)
+        _perturb_norms(ps, np.random.default_rng(12), stats=True)
+        bridge_out, *skips = [Tensor(a, requires_grad=True) for a in inputs]
+        with monkeypatch.context() as mp:
+            if unfolded:
+                _unfold(mp)
+            out = decoder_forward(bridge_out, skips, ps, training=training)
+        ad.tsum(ad.mul(out, m)).backward()
+        grads = {n: ps[n].grad for n in ps.trainable_names() if n.startswith("decoder.")}
+        grads |= {f"input{i}": t.grad for i, t in enumerate([bridge_out] + skips)}
+        stats = {n: ps.data(n).copy() for n in ps.names() if n.startswith("decoder.") and "running" in n}
+        results.append((out.data, grads, stats))
+    (got, got_grads, got_stats), (want, want_grads, want_stats) = results
+    assert got.dtype == dtype and got.shape == want.shape
+    assert np.abs(got - want).max() <= tol
+    for name, g in want_grads.items():
+        assert got_grads[name].dtype == dtype
+        assert np.abs(got_grads[name] - g).max() <= tol * max(1.0, np.abs(g).max()), name
+    for name, v in want_stats.items():
+        np.testing.assert_allclose(got_stats[name], v, rtol=tol, atol=tol)
+
+
+def test_eval_probabilities_match_the_unfolded_model(monkeypatch):
+    cfg = scaled_config(64)
+    ps = init_params(cfg, 3)
+    rng = np.random.default_rng(4)
+    with ad.no_grad():
+        for _ in range(2):  # running statistics from real activations
+            model_forward(rng.uniform(size=(4, 64, 64, 3)).astype(np.float32), ps, mode="train")
+        _perturb_norms(ps, rng, stats=False)
+        x = rng.uniform(size=(2, 64, 64, 3)).astype(np.float32)
+        got = model_forward(x, ps, mode="eval").data
+
+        def head_after_upsample():
+            bridge_in, skips = encoder_forward(ad.transpose(Tensor(x), (0, 3, 1, 2)), ps, training=False)
+            decoded = decoder_forward(bridge_forward(bridge_in, ps), skips, ps, training=False)
+            y = ad.conv2d(ad.upsample_nearest2x(decoded), ps["head.conv.weight"], ps["head.conv.bias"])
+            return ad.sigmoid(y).data.transpose(0, 2, 3, 1)
+
+        # the head acts per pixel, so running it before the upsample changes no bit
+        np.testing.assert_array_equal(got, head_after_upsample())
+        with monkeypatch.context() as mp:
+            _unfold(mp)
+            want = head_after_upsample()
+    assert want.min() < 0.5 < want.max()
+    assert np.abs(got - want).max() <= 1e-5
 
 
 def test_upsample_duplication():
