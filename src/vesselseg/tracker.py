@@ -15,6 +15,7 @@ down the stack. Two deliberate limitations define its behaviour:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -25,6 +26,9 @@ from .volume_io import MaskVolume, Volume
 
 EVENT_LOST = "lost"
 EVENT_BONE_MERGE = "bone_merge_suspect"
+
+# Pixels added on each side of the seed's bounding box before labelling.
+WINDOW_MARGIN_PX = 8
 
 _STRUCTURES = {
     4: np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool),
@@ -42,12 +46,26 @@ class TrackerConfig:
     connectivity: int = 8
 
     def __post_init__(self):
-        if not self.t_lo < self.t_hi:
-            raise SpecInvalid(f"threshold window needs t_lo < t_hi, got [{self.t_lo}, {self.t_hi}]")
-        if self.connectivity not in _STRUCTURES:
-            raise SpecInvalid(f"connectivity must be 4 or 8, got {self.connectivity}")
-        if self.min_overlap_px < 1:
-            raise SpecInvalid("min_overlap_px must be >= 1")
+        if not (_is_real(self.t_lo) and _is_real(self.t_hi) and self.t_lo < self.t_hi):
+            raise SpecInvalid(f"threshold window needs numbers t_lo < t_hi, got [{self.t_lo!r}, {self.t_hi!r}]")
+        seed = self.seed_point
+        if not (isinstance(seed, (tuple, list)) and len(seed) == 2 and all(map(_is_int, seed))):
+            raise SpecInvalid(f"seed_point must be two ints (x, y), got {seed!r}")
+        if not (_is_int(self.connectivity) and self.connectivity in _STRUCTURES):
+            raise SpecInvalid(f"connectivity must be 4 or 8, got {self.connectivity!r}")
+        if not (_is_int(self.min_overlap_px) and self.min_overlap_px >= 1):
+            raise SpecInvalid(f"min_overlap_px must be an int >= 1, got {self.min_overlap_px!r}")
+        growth = self.max_area_growth
+        if not (_is_real(growth) and math.isfinite(growth) and growth > 0):
+            raise SpecInvalid(f"max_area_growth must be finite and > 0, got {growth!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return _is_int(value) or isinstance(value, (float, np.floating))
 
 
 @dataclass
@@ -68,17 +86,48 @@ def connected_region(
 
     A component survives iff at least min_overlap_px of its pixels are set
     in seed_mask; the union of survivors is returned (possibly empty).
+
+    Only the seed's bounding box grown by WINDOW_MARGIN_PX is labelled. A
+    component of that box which holds a seed pixel and touches none of its
+    inner edges (box edges that are not slice edges) has all its
+    neighbours inside the box, so it is a whole component of the slice and
+    its overlap count is exact; components without a seed pixel never
+    survive. If a component holding a seed pixel touches an inner edge, the
+    whole slice is labelled once more, so the result always equals
+    labelling the whole slice.
+    """
+    if min_overlap_px < 1:
+        raise SpecInvalid(f"min_overlap_px must be >= 1, got {min_overlap_px!r}")
+    seed = np.asarray(seed_mask, dtype=bool)
+    out = np.zeros(hu_slice.shape, dtype=bool)
+    rows = np.flatnonzero(seed.any(axis=1))
+    if rows.size == 0:
+        return out
+    cols = np.flatnonzero(seed[rows[0] : rows[-1] + 1].any(axis=0))
+    h, w = hu_slice.shape
+    y0, y1 = max(rows[0] - WINDOW_MARGIN_PX, 0), min(rows[-1] + 1 + WINDOW_MARGIN_PX, h)
+    x0, x1 = max(cols[0] - WINDOW_MARGIN_PX, 0), min(cols[-1] + 1 + WINDOW_MARGIN_PX, w)
+    box = (slice(y0, y1), slice(x0, x1))
+    labels, counts = _label_overlaps(hu_slice[box], window, seed[box], connectivity)
+    edges = (labels[0], y0 > 0), (labels[-1], y1 < h), (labels[:, 0], x0 > 0), (labels[:, -1], x1 < w)
+    if any(inner and counts[edge].any() for edge, inner in edges):  # a seed-holding component leaves the box
+        box = (slice(None), slice(None))
+        labels, counts = _label_overlaps(hu_slice, window, seed, connectivity)
+    out[box] = (counts >= min_overlap_px)[labels]
+    return out
+
+
+def _label_overlaps(hu, window, seed, connectivity):
+    """Labels of hu's in-window components, and each label's seed-pixel count.
+
+    The count of label 0 (background) is set to 0, so it is never kept.
     """
     t_lo, t_hi = window
-    in_window = (hu_slice >= t_lo) & (hu_slice <= t_hi)
+    in_window = (hu >= t_lo) & (hu <= t_hi)
     labels, n_labels = ndimage.label(in_window, structure=_STRUCTURES[connectivity])
-    if n_labels == 0:
-        return np.zeros_like(in_window)
-    seed = np.asarray(seed_mask).astype(bool)
-    overlap_counts = np.bincount(labels[seed], minlength=n_labels + 1)
-    keep = np.flatnonzero(overlap_counts >= min_overlap_px)
-    keep = keep[keep != 0]  # label 0 is background
-    return np.isin(labels, keep)
+    counts = np.bincount(labels[seed], minlength=n_labels + 1)
+    counts[0] = 0
+    return labels, counts
 
 
 def track_volume(volume: Volume, cfg: TrackerConfig) -> tuple[MaskVolume, list[TrackEvent]]:
@@ -106,7 +155,7 @@ def track_volume(volume: Volume, cfg: TrackerConfig) -> tuple[MaskVolume, list[T
         region = connected_region(
             volume.voxels[z], window, seed_mask, cfg.connectivity, cfg.min_overlap_px
         )
-        area = int(region.sum())
+        area = np.count_nonzero(region)
         if area == 0:
             events.append(TrackEvent(z=z, kind=EVENT_LOST, detail="no in-window component overlaps the track"))
             lost = True

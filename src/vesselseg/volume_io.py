@@ -178,8 +178,8 @@ class MaskVolume(_Stack):
 
     def __post_init__(self):
         super().__post_init__()
-        bad = (self.voxels > 1).sum()
-        if bad:
+        if self.voxels.max(initial=0) > 1:
+            bad = np.count_nonzero(self.voxels > 1)
             raise InvalidLabel(f"{bad} mask voxels are neither 0 nor 1")
 
 

@@ -4,13 +4,16 @@ from collections import deque
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from vesselseg import tracker
 from vesselseg.errors import SeedOutOfWindow, SpecInvalid
 from vesselseg.losses import patient_dice
 from vesselseg.phantom import BoneDecoy, PhantomSpec, generate
 from vesselseg.tracker import (
     EVENT_BONE_MERGE,
     EVENT_LOST,
+    WINDOW_MARGIN_PX,
     TrackerConfig,
     connected_region,
     events_to_json,
@@ -49,6 +52,21 @@ def flood_fill_region(in_window, seed_mask, connectivity, min_overlap):
                 for y, x in component:
                     out[y, x] = True
     return out
+
+
+def _full_slice_region(hu_slice, window, seed_mask, connectivity=8, min_overlap_px=1):
+    """Oracle: label the whole slice, keep components with enough seed pixels."""
+    t_lo, t_hi = window
+    in_window = (hu_slice >= t_lo) & (hu_slice <= t_hi)
+    structure = ndimage.generate_binary_structure(2, 1 if connectivity == 4 else 2)
+    labels, n_labels = ndimage.label(in_window, structure=structure)
+    if n_labels == 0:
+        return np.zeros_like(in_window)
+    seed = np.asarray(seed_mask).astype(bool)
+    overlap_counts = np.bincount(labels[seed], minlength=n_labels + 1)
+    keep = np.flatnonzero(overlap_counts >= min_overlap_px)
+    keep = keep[keep != 0]  # label 0 is background
+    return np.isin(labels, keep)
 
 
 def test_tracker_config_validation():
@@ -106,6 +124,167 @@ def test_connected_region_matches_flood_fill_oracle(connectivity):
         got = connected_region(hu, (200, 500), seed, connectivity=connectivity)
         want = flood_fill_region(in_window, seed, connectivity, 1)
         np.testing.assert_array_equal(got, want)
+
+
+HU_IN, HU_OUT = 300.0, 40.0
+SLICE_SHAPES = [(64, 64), (96, 80)]
+
+
+def assert_matches_oracles(in_window, seed, connectivity, min_overlap):
+    hu = np.where(in_window, HU_IN, HU_OUT)
+    got = connected_region(hu, (200, 500), seed, connectivity, min_overlap)
+    assert got.dtype == bool and got.shape == in_window.shape
+    np.testing.assert_array_equal(got, _full_slice_region(hu, (200, 500), seed, connectivity, min_overlap))
+    np.testing.assert_array_equal(got, flood_fill_region(in_window, seed, connectivity, min_overlap))
+    return got
+
+
+def random_blobs(shape, rng, count=12):
+    """Sparse disks and bars, a few percent of the slice each."""
+    h, w = shape
+    yy, xx = np.mgrid[0:h, 0:w]
+    blobs = np.zeros(shape, dtype=bool)
+    for _ in range(count):
+        cy, cx = rng.integers(0, h), rng.integers(0, w)
+        if rng.uniform() < 0.5:
+            blobs |= (yy - cy) ** 2 + (xx - cx) ** 2 < rng.uniform(2, 7) ** 2
+        else:
+            blobs[cy : cy + rng.integers(1, 4), max(cx - 12, 0) : cx + 12] = True
+    return blobs
+
+
+def seed_patch(shape, rng, center, radius=4, density=0.4):
+    seed = np.zeros(shape, dtype=bool)
+    cy, cx = center
+    patch = seed[max(cy - radius, 0) : cy + radius + 1, max(cx - radius, 0) : cx + radius + 1]
+    patch[...] = rng.uniform(size=patch.shape) < density
+    return seed
+
+
+@pytest.mark.parametrize("shape", SLICE_SHAPES)
+@pytest.mark.parametrize("connectivity", [4, 8])
+@pytest.mark.parametrize("min_overlap", [1, 2, 3])
+def test_windowed_region_matches_oracles_on_random_blobs(shape, connectivity, min_overlap):
+    rng = np.random.default_rng([shape[1], connectivity, min_overlap])
+    kept = 0
+    for _ in range(12):
+        blobs = random_blobs(shape, rng)
+        center = tuple(rng.integers(0, shape))
+        kept += assert_matches_oracles(blobs, seed_patch(shape, rng, center), connectivity, min_overlap).any()
+    assert kept > 0  # the seeds hit some blobs
+
+
+def snake(shape, side):
+    """A 1-px path from the slice center that leaves a window around the
+    center through one side, runs along the slice border and ends there."""
+    h, w = shape
+    cy, cx = h // 2, w // 2
+    path = np.zeros(shape, dtype=bool)
+    if side == "top":
+        path[1 : cy + 1, cx] = True
+        path[1, 1 : cx + 1] = True
+    elif side == "bottom":
+        path[cy : h - 1, cx] = True
+        path[h - 2, cx : w - 1] = True
+    elif side == "left":
+        path[cy, 1 : cx + 1] = True
+        path[cy : h - 1, 1] = True
+    else:
+        path[cy, cx : w - 1] = True
+        path[1 : cy + 1, w - 2] = True
+    return path
+
+
+@pytest.mark.parametrize("shape", SLICE_SHAPES)
+@pytest.mark.parametrize("side", ["top", "bottom", "left", "right"])
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_windowed_region_follows_a_snake_out_of_the_window(shape, side, connectivity):
+    in_window = snake(shape, side)
+    seed = np.zeros(shape, dtype=bool)
+    seed[shape[0] // 2, shape[1] // 2] = True
+    got = assert_matches_oracles(in_window, seed, connectivity, 1)
+    np.testing.assert_array_equal(got, in_window)  # the whole snake, far outside the window
+
+
+@pytest.mark.parametrize("shape", SLICE_SHAPES)
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_windowed_region_follows_a_spiral(shape, connectivity):
+    h, w = shape
+    spiral = np.zeros(shape, dtype=bool)
+    top, left, bottom, right = 1, 1, h - 2, w - 2
+    while bottom - top > 4 and right - left > 4:  # rings joined into one 1-px spiral, 2 px apart
+        spiral[top, left:right + 1] = True
+        spiral[top:bottom + 1, right] = True
+        spiral[bottom, left:right + 1] = True
+        spiral[top + 2 : bottom + 1, left] = True
+        top, left, bottom, right = top + 2, left + 2, bottom - 2, right - 2
+        spiral[top, left - 2 : left] = True
+    pixels = np.argwhere(spiral)
+    innermost = pixels[np.abs(pixels - (h // 2, w // 2)).sum(axis=1).argmin()]
+    seed = np.zeros(shape, dtype=bool)
+    seed[tuple(innermost)] = True
+    np.testing.assert_array_equal(assert_matches_oracles(spiral, seed, connectivity, 1), spiral)
+    assert not assert_matches_oracles(spiral, seed, connectivity, 2).any()
+    noise = np.random.default_rng(7).uniform(size=shape) < 0.05
+    assert_matches_oracles(spiral | noise, seed, connectivity, 1)
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_windowed_region_counts_seed_pixels_across_window_pieces(connectivity):
+    """A U whose arms each hold one seed pixel and whose base lies outside the
+    window: each in-window piece counts 1, the whole component counts 2."""
+    h, w = 64, 64
+    u = np.zeros((h, w), dtype=bool)
+    u[20 : h - 2, 24] = True
+    u[20 : h - 2, 40] = True
+    u[h - 2, 24:41] = True
+    seed = np.zeros((h, w), dtype=bool)
+    seed[20, 24] = seed[20, 40] = True
+    assert 20 + WINDOW_MARGIN_PX < h - 2  # the base is outside the window
+    np.testing.assert_array_equal(assert_matches_oracles(u, seed, connectivity, 2), u)
+    assert not assert_matches_oracles(u, seed, connectivity, 3).any()
+
+
+@pytest.mark.parametrize("shape", SLICE_SHAPES)
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_windowed_region_seeds_on_slice_edges(shape, connectivity):
+    h, w = shape
+    rng = np.random.default_rng(11)
+    edge_pixels = [(0, w // 3), (h - 1, w // 2), (h // 3, 0), (h // 2, w - 1), (0, 0), (h - 1, w - 1)]
+    for y, x in edge_pixels:
+        blobs = random_blobs(shape, rng, count=8)
+        blobs[max(y - 3, 0) : y + 4, max(x - 5, 0) : x + 6] = True  # a blob on the edge, under the seed
+        seed = seed_patch(shape, rng, (y, x), radius=2, density=0.8)
+        for min_overlap in (1, 2, 3):
+            got = assert_matches_oracles(blobs, seed, connectivity, min_overlap)
+            assert got[y, x] or min_overlap > 1
+
+
+@pytest.mark.parametrize("shape", SLICE_SHAPES)
+def test_windowed_region_empty_seed(shape):
+    blobs = random_blobs(shape, np.random.default_rng(3))
+    got = assert_matches_oracles(blobs, np.zeros(shape, dtype=bool), 8, 1)
+    assert not got.any()
+
+
+@pytest.mark.parametrize("shape", SLICE_SHAPES)
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_windowed_region_seed_in_two_far_apart_components(shape, connectivity):
+    h, w = shape
+    rng = np.random.default_rng(5)
+    blobs = random_blobs(shape, rng)
+    blobs[4:10, 4:12] = True
+    blobs[h - 10 : h - 4, w - 12 : w - 4] = True
+    seed = np.zeros(shape, dtype=bool)
+    seed[6:8, 6:9] = True
+    seed[h - 8 : h - 6, w - 9 : w - 6] = True
+    got = assert_matches_oracles(blobs, seed, connectivity, 1)
+    assert got[6, 6] and got[h - 7, w - 7]
+
+
+def test_connected_region_rejects_min_overlap_below_one():
+    with pytest.raises(SpecInvalid):
+        connected_region(np.zeros((4, 4)), (0, 1), np.ones((4, 4), dtype=bool), min_overlap_px=0)
 
 
 def clean_spec(**overrides):
@@ -192,3 +371,95 @@ def test_events_json():
     _, events = track_volume(vol, cfg)
     text = events_to_json(events)
     assert '"kind": "lost"' in text
+
+
+def scaled_phantom(hw, kind):
+    """The occlusion or bone-merge phantom above, at hw x hw."""
+    s = hw / 32.0
+    overrides = dict(dims=(24, hw, hw), trunk_radius_px=7.0 * s, branch_radius_px=3.0 * s,
+                     entry_xy=(16.0 * s, 16.0 * s))
+    if kind == "occlusion":
+        overrides["occlusion_z_range"] = (8, 14)
+        window = (200, 500)
+    else:
+        bone = BoneDecoy(center_xy=(25.0 * s, 16.0 * s), radius_px=6.0 * s, contact_z_range=(14, 24))
+        overrides["bone_decoys"] = [bone]
+        overrides["branch_half_angle_deg"] = 20.0
+        window = (200, 950)
+    vol, _ = generate(clean_spec(**overrides))
+    return vol, TrackerConfig(t_lo=window[0], t_hi=window[1], seed_point=(int(16 * s), int(16 * s)))
+
+
+@pytest.mark.parametrize("hw", [64, 256])
+@pytest.mark.parametrize("kind", ["occlusion", "bone"])
+def test_track_matches_full_slice_walk(monkeypatch, hw, kind):
+    vol, cfg = scaled_phantom(hw, kind)
+    for connectivity in (4, 8):
+        cfg_c = TrackerConfig(cfg.t_lo, cfg.t_hi, cfg.seed_point, connectivity=connectivity)
+        pred, events = track_volume(vol, cfg_c)
+        with monkeypatch.context() as m:
+            m.setattr(tracker, "connected_region", _full_slice_region)
+            want_pred, want_events = track_volume(vol, cfg_c)
+        assert pred.voxels.tobytes() == want_pred.voxels.tobytes()
+        assert events == want_events
+    want_kind = EVENT_LOST if kind == "occlusion" else EVENT_BONE_MERGE
+    assert any(e.kind == want_kind for e in events)
+
+
+def test_track_labels_a_window_not_the_slice(monkeypatch):
+    """Guard against whole-slice labelling coming back."""
+    areas = []
+    real_label = ndimage.label
+
+    def recording_label(image, structure=None):
+        areas.append(image.size)
+        return real_label(image, structure=structure)
+
+    # a trunk of a seventh of the slice width, as in the 512^2 benchmark phantoms
+    spec = clean_spec(dims=(24, 256, 256), trunk_radius_px=36.0, branch_radius_px=12.0,
+                      entry_xy=(128.0, 128.0), occlusion_z_range=(16, 20))
+    vol, _ = generate(spec)
+    cfg = TrackerConfig(t_lo=200, t_hi=500, seed_point=(128, 128))
+    monkeypatch.setattr(ndimage, "label", recording_label)
+    pred, _ = track_volume(vol, cfg)
+    assert len(areas) >= 8 and pred.voxels.any()
+    assert np.mean(areas) / (256 * 256) < 0.25
+
+
+@pytest.mark.parametrize("seed_point", [(16.0, 16), (16,), (16, 16, 0), (True, 16), "16,16", None])
+def test_tracker_config_rejects_seed_point_not_two_ints(seed_point):
+    with pytest.raises(SpecInvalid):
+        TrackerConfig(t_lo=200, t_hi=500, seed_point=seed_point)
+
+
+@pytest.mark.parametrize("window", [("100", "500"), (None, 500), (float("nan"), 500), (200, float("nan"))])
+def test_tracker_config_rejects_non_numeric_thresholds(window):
+    with pytest.raises(SpecInvalid):
+        TrackerConfig(t_lo=window[0], t_hi=window[1], seed_point=(16, 16))
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True])
+def test_tracker_config_rejects_non_int_min_overlap(value):
+    with pytest.raises(SpecInvalid):
+        TrackerConfig(t_lo=200, t_hi=500, seed_point=(16, 16), min_overlap_px=value)
+
+
+@pytest.mark.parametrize("value", [8.0, 4.5])
+def test_tracker_config_rejects_non_int_connectivity(value):
+    with pytest.raises(SpecInvalid):
+        TrackerConfig(t_lo=200, t_hi=500, seed_point=(16, 16), connectivity=value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0, True, "4"])
+def test_tracker_config_rejects_bad_max_area_growth(value):
+    with pytest.raises(SpecInvalid):
+        TrackerConfig(t_lo=200, t_hi=500, seed_point=(16, 16), max_area_growth=value)
+
+
+def test_tracker_config_accepts_numpy_ints_and_infinite_thresholds():
+    vol, _ = generate(clean_spec())
+    seed_point = (np.int64(16), np.int64(16))
+    cfg = TrackerConfig(t_lo=200, t_hi=float("inf"), seed_point=seed_point, max_area_growth=4)
+    pred, events = track_volume(vol, cfg)
+    assert pred.voxels[0, 16, 16] == 1 and not any(e.kind == EVENT_LOST for e in events)
+    TrackerConfig(t_lo=float("-inf"), t_hi=float("inf"), seed_point=(0, 0))
