@@ -4,19 +4,20 @@ A Tensor wraps an ndarray and remembers how it was produced; backward()
 walks the graph in reverse topological order and accumulates vector-
 Jacobian products into .grad. The op set is exactly what the network
 needs: elementwise arithmetic, matmul, convolution, max pooling,
-train-mode batch norm, layer norm, the usual activations,
-nearest-neighbor upsampling, the sub-pixel phase interleave, slicing
-along one axis and shape moves.
+train-mode batch norm and layer norm (one normalization core,
+_normalize, serves both), the usual activations, nearest-neighbor
+upsampling, the sub-pixel phase interleave, slicing along one axis and
+shape moves.
 
 Backward consumes the graph: each non-leaf node drops its vjps and its
 .grad as soon as its vjps have run, so the memory behind it is freed
 during the walk, and only leaves keep .grad. Each activation sits on the
-tape once. The convolution and batch-norm vjps keep only their inputs'
-data, which the input tensors hold anyway, and per-channel state; they
-rebuild the phase buffer, the tap weights and the normalized input at
-backward time. Relu keeps a bool mask and max pooling one byte per output,
-both only when their input is on a grad path. Vjps read parameter data at
-backward time.
+tape once. The convolution and normalization vjps keep only their
+inputs' data, which the input tensors hold anyway, and per-channel or
+per-row state; they rebuild the phase buffer, the tap weights and the
+normalized input at backward time. Relu keeps a bool mask and max
+pooling one byte per output, both only when their input is on a grad
+path. Vjps read parameter data at backward time.
 
 Convolution uses cross-correlation semantics (no kernel flip) and builds
 no im2col matrix: it sums one GEMM per kernel tap (one GEMM over all taps
@@ -360,20 +361,55 @@ def softmax(x) -> Tensor:
 
 # -- normalization ----------------------------------------------------------
 
+NORM_EPS = 1e-5  # added to the variance by batch norm and layer norm
+BN_MOMENTUM = 0.9  # the fraction of a batch-norm running statistic each train step keeps
 
-def batch_norm(
-    x,
-    gamma,
-    beta,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    momentum: float = 0.9,
-    eps: float = 1e-5,
-) -> Tensor:
+
+def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple, affine_shape: tuple):
+    """(x - mean) / sqrt(var + NORM_EPS) * gamma + beta, the one normalization op.
+
+    The mean and biased variance are taken over axes; gamma and beta are
+    reshaped to affine_shape. Returns the output Tensor and the statistics
+    (dims kept). The output is one buffer, normalized in place; the vjps
+    recompute the normalized input, so only the input data and the
+    per-feature or per-row state stay on the tape.
+    """
+    d = x.data
+    mean = d.mean(axis=axes, keepdims=True)
+    var = d.var(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
+    n = math.prod(d.shape[a] for a in axes)
+    # gamma and beta broadcast across these (a size-1 feature axis too; affine() reshapes it back)
+    spread = tuple(i for i, s in enumerate(affine_shape) if s == 1)
+
+    def xhat():
+        xh = d - mean
+        xh *= inv
+        return xh
+
+    out_data = xhat()
+    out_data *= gamma.data.reshape(affine_shape)
+    out_data += beta.data.reshape(affine_shape)
+
+    def vjp_x(g):
+        gxhat = g * gamma.data.reshape(affine_shape)
+        xh = xhat()
+        s1 = gxhat.sum(axis=axes, keepdims=True)
+        s2 = (gxhat * xh).sum(axis=axes, keepdims=True)
+        return (inv / n) * (n * gxhat - s1 - xh * s2)
+
+    def affine(g):
+        return g.sum(axis=spread).reshape(gamma.data.shape)
+
+    out = _make(out_data, [(x, vjp_x), (gamma, lambda g: affine(g * xhat())), (beta, affine)])
+    return out, mean, var
+
+
+def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray) -> Tensor:
     """Train-mode batch norm over an NCHW map.
 
     Normalizes each channel with its biased batch statistics and updates
-    the running arrays in place (kept fraction = momentum). Eval mode has
+    the running arrays in place (kept fraction = BN_MOMENTUM). Eval mode has
     no op of its own: the model folds the running statistics into the
     convolution before the norm.
     """
@@ -384,44 +420,14 @@ def batch_norm(
             f"batch_norm expects NCHW with per-channel affine, got {d.shape}, "
             f"gamma {gamma.data.shape}, beta {beta.data.shape}"
         )
-    axes = (0, 2, 3)
-    shape = (1, d.shape[1], 1, 1)
-    mean = d.mean(axis=axes)
-    var = d.var(axis=axes)
-    running_mean *= momentum
-    running_mean += (1.0 - momentum) * mean
-    running_var *= momentum
-    running_var += (1.0 - momentum) * var
-    inv = 1.0 / np.sqrt(var + eps)
-
-    def xhat():  # recomputed by the vjps, so only the input stays on the tape
-        xh = d - mean.reshape(shape)
-        xh *= inv.reshape(shape)
-        return xh
-
-    out_data = xhat()  # one buffer for the whole affine map
-    out_data *= gamma.data.reshape(shape)
-    out_data += beta.data.reshape(shape)
-
-    def vjp_x(g):
-        gxhat = g * gamma.data.reshape(shape)
-        xh = xhat()
-        n = d.shape[0] * d.shape[2] * d.shape[3]
-        s1 = gxhat.sum(axis=axes).reshape(shape)
-        s2 = (gxhat * xh).sum(axis=axes).reshape(shape)
-        return (inv.reshape(shape) / n) * (n * gxhat - s1 - xh * s2)
-
-    return _make(
-        out_data,
-        [
-            (x, vjp_x),
-            (gamma, lambda g: (g * xhat()).sum(axis=axes)),
-            (beta, lambda g: g.sum(axis=axes)),
-        ],
-    )
+    out, mean, var = _normalize(x, gamma, beta, (0, 2, 3), (1, d.shape[1], 1, 1))
+    for running, batch in ((running_mean, mean), (running_var, var)):
+        running *= BN_MOMENTUM
+        running += (1.0 - BN_MOMENTUM) * batch.reshape(running.shape)
+    return out
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gamma, beta) -> Tensor:
     """Normalize each vector along the last axis to zero mean, unit variance."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     d = x.data
@@ -430,29 +436,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
             f"layer_norm affine shapes {gamma.data.shape}/{beta.data.shape} "
             f"do not match feature dim {d.shape[-1]}"
         )
-    mean = d.mean(axis=-1, keepdims=True)
-    var = d.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (d - mean) * inv
-    out_data = gamma.data * xhat + beta.data
-
-    lead = tuple(range(d.ndim - 1))
-
-    def vjp_x(g):
-        n = d.shape[-1]
-        gxhat = g * gamma.data
-        s1 = gxhat.sum(axis=-1, keepdims=True)
-        s2 = (gxhat * xhat).sum(axis=-1, keepdims=True)
-        return (inv / n) * (n * gxhat - s1 - xhat * s2)
-
-    return _make(
-        out_data.astype(d.dtype, copy=False),
-        [
-            (x, vjp_x),
-            (gamma, lambda g: (g * xhat).sum(axis=lead)),
-            (beta, lambda g: g.sum(axis=lead)),
-        ],
-    )
+    return _normalize(x, gamma, beta, (d.ndim - 1,), (1,) * (d.ndim - 1) + (d.shape[-1],))[0]
 
 
 # -- convolution, pooling, upsampling --------------------------------------

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import BadMagic, ManifestMismatch, VersionMismatch
+from .errors import BadMagic, ManifestMismatch, MissingFile, VersionMismatch
 from .model import ModelConfig, ParamStore, init_params, param_manifest  # perfbench patches init_params here
 
 MAGIC = b"TONC"
@@ -84,7 +84,11 @@ def load_checkpoint(path: str | Path, encoder_only: bool = False, init_seed: int
     The tensors are writable views into one buffer that holds the data section.
     """
     path = Path(path)
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise MissingFile(f"cannot open checkpoint {path}: {exc.strerror}") from exc
+    with fh:
         prefix = fh.read(16)
         if len(prefix) < 16 or prefix[:4] != MAGIC:
             raise BadMagic(f"{path} is not a checkpoint file")

@@ -30,6 +30,7 @@ from .volume_io import (
     Volume,
     load_mask,
     load_volume,
+    make_output_dir,
     normalize_slice,
     save_mask,
     save_volume,
@@ -60,25 +61,47 @@ def write_overlay(hu_slice: np.ndarray, mask_slice: np.ndarray, path: str | Path
     rgb = np.stack([gray, gray, gray], axis=-1)
     rgb[np.asarray(mask_slice).astype(bool), 0] = 255
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_output_dir(path.parent)
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(rgb.tobytes())
 
 
 def _write_effective_config(path: Path, command: str, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_output_dir(path.parent)
     path.write_text(json.dumps({"command": command, **payload}, indent=2) + "\n", encoding="utf-8")
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    z0, z1 = text.split(":")
-    return int(z0), int(z1)
+def _ints(sep: str, count: int | None, form: str):
+    """A flag type: sep-separated integers, count of them if count is set.
+
+    argparse reports its ArgumentTypeError as "argument --flag: <message>".
+    """
+
+    def parse(text: str) -> tuple[int, ...]:
+        try:
+            values = tuple(int(v) for v in text.split(sep))
+        except ValueError:
+            values = ()
+        if not values or count not in (None, len(values)):
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+        return values
+
+    return parse
+
+
+_parse_range = _ints(":", 2, "Z0:Z1 (two integers)")
+_parse_point = _ints(",", 2, "X,Y (two integers)")
+_parse_folds = _ints(",", None, "comma-separated integer fold sizes")
 
 
 def _parse_bone(text: str) -> BoneDecoy:
-    x, y, r, zr = text.split(",")
-    return BoneDecoy(center_xy=(float(x), float(y)), radius_px=float(r), contact_z_range=_parse_range(zr))
+    try:
+        x, y, r, zr = text.split(",")
+        return BoneDecoy(center_xy=(float(x), float(y)), radius_px=float(r), contact_z_range=_parse_range(zr))
+    except (ValueError, argparse.ArgumentTypeError):
+        form = "X,Y,R,Z0:Z1 (three numbers, then two integers)"
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
 
 
 def _load_patient(directory: str | Path) -> tuple[Volume, MaskVolume]:
@@ -98,6 +121,8 @@ def _configs(args) -> tuple[ModelConfig, TrainConfig]:
         file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
     except OSError as exc:
         raise MissingFile(f"cannot read config file {args.config}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigInvalid(f"{args.config} is not UTF-8 JSON: {exc}") from exc
     if not isinstance(file_cfg, dict) or not all(isinstance(file_cfg.get(k, {}), dict) for k in _FLAG_FIELDS):
         raise ConfigInvalid(f"{args.config} must hold a JSON object whose model/train sections are objects")
     unknown = sorted(set(file_cfg) - set(_CONFIG_KEYS))
@@ -118,8 +143,8 @@ def _cmd_phantom(args) -> CommandResult:
     spec = PhantomSpec(
         dims=(args.slices, args.size, args.size),
         seed=args.seed,
-        occlusion_z_range=_parse_range(args.occlusion) if args.occlusion else None,
-        bone_decoys=[_parse_bone(b) for b in args.bone],
+        occlusion_z_range=args.occlusion,
+        bone_decoys=args.bone,
         mask_extent=args.mask_extent,
         patient_id=out.name,
     )
@@ -136,9 +161,8 @@ def _cmd_train(args) -> CommandResult:
 
     train_patients = [_load_patient(d) for d in args.data]
     val_patients = [_load_patient(d) for d in args.val]
-    out = Path(args.out)
+    out = make_output_dir(args.out)
     ckpt, log = train(model_cfg, train_cfg, train_patients, val_patients, checkpoint_dir=out)
-    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(ckpt, out / "model.ckpt")
     (out / "train_log.jsonl").write_text(log.to_jsonl(), encoding="utf-8")
     _write_effective_config(
@@ -159,7 +183,7 @@ def _cmd_eval(args) -> CommandResult:
     patients = [_load_patient(d) for d in args.data]
     report = evaluate(ckpt, patients)
     report_path = Path(args.report)
-    report_path.parent.mkdir(parents=True, exist_ok=True)
+    make_output_dir(report_path.parent)
     report_path.write_text(report.to_json() + "\n", encoding="utf-8")
     _write_effective_config(
         report_path.with_suffix(".config.json"),
@@ -199,13 +223,14 @@ def _cmd_predict(args) -> CommandResult:
 
 def _cmd_xval(args) -> CommandResult:
     model_cfg, train_cfg = _configs(args)
-    fold_sizes = tuple(int(s) for s in args.folds.split(","))
     root = Path(args.data_root)
+    if not root.is_dir():
+        raise MissingFile(f"--data-root {root} is not a directory")
     patient_dirs = sorted(d for d in root.iterdir() if d.is_dir())
     patients = [_load_patient(d) for d in patient_dirs]
-    result = cross_validate(model_cfg, train_cfg, patients, fold_sizes=fold_sizes)
+    result = cross_validate(model_cfg, train_cfg, patients, fold_sizes=args.folds)
     report_path = Path(args.report)
-    report_path.parent.mkdir(parents=True, exist_ok=True)
+    make_output_dir(report_path.parent)
     payload = {
         "folds": [json.loads(r.to_json()) for r in result.fold_reports],
         "mean_dice": result.mean_dice,
@@ -223,7 +248,7 @@ def _cmd_xval(args) -> CommandResult:
             "model": model_cfg.to_dict(),
             "train": train_cfg.to_dict(),
             "data_root": args.data_root,
-            "folds": list(fold_sizes),
+            "folds": list(args.folds),
         },
     )
     return CommandResult(0)
@@ -231,20 +256,19 @@ def _cmd_xval(args) -> CommandResult:
 
 def _cmd_track(args) -> CommandResult:
     volume = load_volume(args.volume)
-    x, y = (int(v) for v in args.seed_point.split(","))
-    cfg = TrackerConfig(t_lo=args.t_lo, t_hi=args.t_hi, seed_point=(x, y))
+    cfg = TrackerConfig(t_lo=args.t_lo, t_hi=args.t_hi, seed_point=args.seed_point)
     mask, events = track_volume(volume, cfg)
     out = Path(args.out)
     save_mask(mask, out)
     events_path = Path(args.events)
-    events_path.parent.mkdir(parents=True, exist_ok=True)
+    make_output_dir(events_path.parent)
     events_path.write_text(events_to_json(events) + "\n", encoding="utf-8")
     _write_effective_config(
         out / "effective_config.json",
         "track",
         {
             "volume": args.volume,
-            "seed_point": [x, y],
+            "seed_point": list(args.seed_point),
             "t_lo": args.t_lo,
             "t_hi": args.t_hi,
             "events": args.events,
@@ -276,8 +300,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--slices", type=int, default=64)
     p.add_argument("--size", type=int, default=64)
-    p.add_argument("--occlusion", default=None, metavar="Z0:Z1")
-    p.add_argument("--bone", action="append", default=[], metavar="X,Y,R,Z0:Z1")
+    p.add_argument("--occlusion", type=_parse_range, default=None, metavar="Z0:Z1")
+    p.add_argument("--bone", type=_parse_bone, action="append", default=[], metavar="X,Y,R,Z0:Z1")
     p.add_argument("--mask-extent", choices=["to_bifurcation", "to_end"], default="to_end")
     p.set_defaults(func=_cmd_phantom)
 
@@ -310,14 +334,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("xval", help="patient-level cross-validation")
     p.add_argument("--data-root", required=True)
-    p.add_argument("--folds", default="3,3,3,2")
+    p.add_argument("--folds", type=_parse_folds, default="3,3,3,2")
     p.add_argument("--config", default=None)
     p.add_argument("--report", required=True)
     p.set_defaults(func=_cmd_xval)
 
     p = sub.add_parser("track", help="run the intensity-tracking baseline")
     p.add_argument("--volume", required=True)
-    p.add_argument("--seed-point", required=True, metavar="X,Y")
+    p.add_argument("--seed-point", type=_parse_point, required=True, metavar="X,Y")
     p.add_argument("--t-lo", type=float, required=True)
     p.add_argument("--t-hi", type=float, required=True)
     p.add_argument("--out", required=True)
@@ -344,7 +368,7 @@ def dispatch(argv: list[str]) -> CommandResult:
         return CommandResult(1)
     except SystemExit as exc:  # argparse -h
         return CommandResult(int(exc.code or 0))
-    except (VesselSegError, json.JSONDecodeError, ValueError) as exc:
+    except VesselSegError as exc:
         print(f"vesselseg: {exc}", file=sys.stderr)
         return CommandResult(1)
     except Exception:

@@ -124,19 +124,17 @@ class ParamEntry(NamedTuple):
     trainable: bool
 
 
-def _bn_entries(prefix: str, channels: int) -> list[ParamEntry]:
-    return [
-        ParamEntry(f"{prefix}.gamma", (channels,), "ones", True),
-        ParamEntry(f"{prefix}.beta", (channels,), "zeros", True),
-        ParamEntry(f"{prefix}.running_mean", (channels,), "zeros", False),
-        ParamEntry(f"{prefix}.running_var", (channels,), "ones", False),
-    ]
-
-
 def _ln_entries(prefix: str, dim: int) -> list[ParamEntry]:
     return [
         ParamEntry(f"{prefix}.gamma", (dim,), "ones", True),
         ParamEntry(f"{prefix}.beta", (dim,), "zeros", True),
+    ]
+
+
+def _bn_entries(prefix: str, channels: int) -> list[ParamEntry]:
+    return _ln_entries(prefix, channels) + [
+        ParamEntry(f"{prefix}.running_mean", (channels,), "zeros", False),
+        ParamEntry(f"{prefix}.running_var", (channels,), "ones", False),
     ]
 
 
@@ -283,9 +281,6 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParamStore:
 # -- forward passes ---------------------------------------------------------
 
 
-_BN_EPS = 1e-5
-
-
 def conv_bn(conv, ps: ParamStore, weight: str, bn: str, training: bool) -> Tensor:
     """conv(W, bias) followed by the batch norm named bn, with W = ps[weight].
 
@@ -298,15 +293,9 @@ def conv_bn(conv, ps: ParamStore, weight: str, bn: str, training: bool) -> Tenso
     """
     w = ps[weight]
     if training:
-        return ad.batch_norm(
-            conv(w, None),
-            ps[f"{bn}.gamma"],
-            ps[f"{bn}.beta"],
-            ps.data(f"{bn}.running_mean"),
-            ps.data(f"{bn}.running_var"),
-            eps=_BN_EPS,
-        )
-    inv = 1.0 / np.sqrt(ps.data(f"{bn}.running_var") + _BN_EPS)
+        running = ps.data(f"{bn}.running_mean"), ps.data(f"{bn}.running_var")
+        return ad.batch_norm(conv(w, None), ps[f"{bn}.gamma"], ps[f"{bn}.beta"], *running)
+    inv = 1.0 / np.sqrt(ps.data(f"{bn}.running_var") + ad.NORM_EPS)
     s = ad.mul(ps[f"{bn}.gamma"], inv)
     bias = ad.add(ps[f"{bn}.beta"], ad.mul(s, -ps.data(f"{bn}.running_mean")))
     return conv(ad.mul(w, ad.reshape(s, (-1, 1, 1, 1))), bias)

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import OutOfRange, SpecInvalid
-from .volume_io import MaskVolume, Volume, VolumeMeta
+from .volume_io import MaskVolume, Volume, VolumeMeta, make_output_dir
 
 MASK_TO_BIFURCATION = "to_bifurcation"
 MASK_TO_END = "to_end"
@@ -188,9 +188,7 @@ def generate(spec: PhantomSpec) -> tuple[Volume, MaskVolume]:
 
 def save_spec(spec: PhantomSpec, directory: str | Path) -> None:
     """Drop the generating recipe next to the rendered volume."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "phantom.json").write_text(spec.to_json() + "\n", encoding="utf-8")
+    (make_output_dir(directory) / "phantom.json").write_text(spec.to_json() + "\n", encoding="utf-8")
 
 
 def load_spec(directory: str | Path) -> PhantomSpec:

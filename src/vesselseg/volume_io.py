@@ -208,12 +208,18 @@ def _load(cls: type[_Stack], directory: str | Path) -> _Stack:
     return cls(meta=meta, voxels=np.fromfile(raw_path, dtype=cls._dtype).reshape(meta.shape))
 
 
-def _save(stack: _Stack, directory: str | Path) -> None:
+def make_output_dir(directory: str | Path) -> Path:
+    """Create directory and its parents; OutputNotWritable names it when that fails."""
     directory = Path(directory)
     try:
         directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OutputNotWritable(f"cannot create output directory {directory}: {exc.strerror}") from exc
+    return directory
+
+
+def _save(stack: _Stack, directory: str | Path) -> None:
+    directory = make_output_dir(directory)
     meta = {**stack.meta.to_dict(), "dtype": RAW_DTYPE}
     (directory / META_FILENAME).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
     stack.voxels.astype(stack._dtype).tofile(directory / stack._filename)

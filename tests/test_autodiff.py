@@ -258,6 +258,109 @@ def test_layer_norm_values():
     assert np.abs(out.data.var(axis=-1) - 1.0).max() < 1e-3
 
 
+def _parent_batch_norm(x, gamma, beta, running_mean, running_var, momentum=0.9, eps=1e-5):
+    """Train-mode batch norm as written before the shared normalization core."""
+    x, gamma, beta = ad.as_tensor(x), ad.as_tensor(gamma), ad.as_tensor(beta)
+    d = x.data
+    axes = (0, 2, 3)
+    shape = (1, d.shape[1], 1, 1)
+    mean = d.mean(axis=axes)
+    var = d.var(axis=axes)
+    running_mean *= momentum
+    running_mean += (1.0 - momentum) * mean
+    running_var *= momentum
+    running_var += (1.0 - momentum) * var
+    inv = 1.0 / np.sqrt(var + eps)
+
+    def xhat():
+        xh = d - mean.reshape(shape)
+        xh *= inv.reshape(shape)
+        return xh
+
+    out_data = xhat()
+    out_data *= gamma.data.reshape(shape)
+    out_data += beta.data.reshape(shape)
+
+    def vjp_x(g):
+        gxhat = g * gamma.data.reshape(shape)
+        xh = xhat()
+        n = d.shape[0] * d.shape[2] * d.shape[3]
+        s1 = gxhat.sum(axis=axes).reshape(shape)
+        s2 = (gxhat * xh).sum(axis=axes).reshape(shape)
+        return (inv.reshape(shape) / n) * (n * gxhat - s1 - xh * s2)
+
+    return ad._make(
+        out_data,
+        [(x, vjp_x), (gamma, lambda g: (g * xhat()).sum(axis=axes)), (beta, lambda g: g.sum(axis=axes))],
+    )
+
+
+def _parent_layer_norm(x, gamma, beta, eps=1e-5):
+    """Layer norm as written before the shared normalization core (it keeps x-hat)."""
+    x, gamma, beta = ad.as_tensor(x), ad.as_tensor(gamma), ad.as_tensor(beta)
+    d = x.data
+    mean = d.mean(axis=-1, keepdims=True)
+    var = d.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (d - mean) * inv
+    out_data = gamma.data * xhat + beta.data
+    lead = tuple(range(d.ndim - 1))
+
+    def vjp_x(g):
+        n = d.shape[-1]
+        gxhat = g * gamma.data
+        s1 = gxhat.sum(axis=-1, keepdims=True)
+        s2 = (gxhat * xhat).sum(axis=-1, keepdims=True)
+        return (inv / n) * (n * gxhat - s1 - xhat * s2)
+
+    return ad._make(
+        out_data.astype(d.dtype, copy=False),
+        [(x, vjp_x), (gamma, lambda g: (g * xhat).sum(axis=lead)), (beta, lambda g: g.sum(axis=lead))],
+    )
+
+
+def _norm_run(norm, x, gamma, beta, g, *running):
+    """The output, the x, gamma and beta gradients for seed g, and the running arrays after the call."""
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta)]
+    running = [r.copy() for r in running]
+    out = norm(*tensors, *running)
+    out.backward(g)
+    return [out.data] + [t.grad for t in tensors] + running
+
+
+def _assert_bytes_equal(got, want):
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.dtype == b.dtype and a.shape == b.shape, (i, a.dtype, b.dtype, a.shape, b.shape)
+        assert a.tobytes() == b.tobytes(), i
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 3, 5, 7), (2, 4, 9, 3), (3, 1, 7, 7), (4, 6, 3, 11)])
+def test_batch_norm_is_bit_identical_to_the_parent_op(dtype, shape):
+    rng = np.random.default_rng(sum(shape))
+    c = shape[1]
+    x = rng.normal(1.5, 2.0, size=shape).astype(dtype)
+    gamma, beta = rng.uniform(0.5, 1.5, c).astype(dtype), rng.normal(size=c).astype(dtype)
+    g = rng.normal(size=shape).astype(dtype)
+    running = rng.normal(size=c).astype(dtype), rng.uniform(0.5, 2.0, c).astype(dtype)
+    got = _norm_run(ad.batch_norm, x, gamma, beta, g, *running)
+    _assert_bytes_equal(got, _norm_run(_parent_batch_norm, x, gamma, beta, g, *running))
+    assert not np.array_equal(got[4], running[0]) and not np.array_equal(got[5], running[1])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(7, 5), (1, 16), (2, 9, 12), (3, 4, 1)])
+def test_layer_norm_is_bit_identical_to_the_parent_op(dtype, shape):
+    rng = np.random.default_rng(sum(shape))
+    d = shape[-1]
+    x = rng.normal(-0.5, 3.0, size=shape).astype(dtype)
+    gamma, beta = rng.uniform(0.5, 1.5, d).astype(dtype), rng.normal(size=d).astype(dtype)
+    g = rng.normal(size=shape).astype(dtype)
+    got = _norm_run(ad.layer_norm, x, gamma, beta, g)
+    _assert_bytes_equal(got, _norm_run(_parent_layer_norm, x, gamma, beta, g))
+
+
 def test_activation_values():
     assert ad.relu(Tensor(np.array([-2.0]))).data[0] == 0.0
     assert ad.relu(Tensor(np.array([3.0]))).data[0] == 3.0
@@ -564,3 +667,17 @@ def test_conv_and_batch_norm_vjps_keep_only_inputs_and_per_channel_state(c_in, s
         own = {id(_base(p.data)) for p, _ in out._inputs}
         for a in _closure_arrays([vjp for _, vjp in out._inputs]):
             assert id(a) in own or a.size <= max(c_in, c_out), (a.shape, a.dtype)
+
+@pytest.mark.parametrize("shape", [(16, 24), (2, 16, 24)])
+def test_layer_norm_vjps_keep_only_the_input_and_per_row_state(shape):
+    rng = np.random.default_rng(7)
+    d = shape[-1]
+    x = Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+    gamma = Tensor(np.ones(d, np.float32), requires_grad=True)
+    beta = Tensor(np.zeros(d, np.float32), requires_grad=True)
+    out = ad.layer_norm(x, gamma, beta)
+    rows = x.data.size // d
+    held = _closure_arrays([vjp for _, vjp in out._inputs])
+    assert any(a is x.data for a in held)
+    for a in held:
+        assert a is x.data or a.size <= max(rows, d), (a.shape, a.dtype)

@@ -350,3 +350,67 @@ def test_write_overlay_format(tmp_path):
     gray = int(0.5 * 255)
     assert img[0, 0, 0] == gray and img[0, 0, 1] == gray and img[0, 0, 2] == gray
     assert img[1, 2, 1] == gray  # green/blue keep the grayscale under the tint
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("track", "--seed-point", "16"),
+    ("track", "--seed-point", "1.5,2"),
+    ("xval", "--folds", "a,b"),
+    ("phantom", "--occlusion", "5"),
+    ("phantom", "--bone", "1,2"),
+    ("phantom", "--bone", "1,2,3,4"),
+])
+def test_malformed_flag_values_name_the_flag(tmp_path, capsys, command, flag, value):
+    argv = {
+        "track": ["track", "--volume", str(tmp_path / "v"), "--t-lo", "200", "--t-hi", "500",
+                  "--out", str(tmp_path / "o"), "--events", str(tmp_path / "e.json")],
+        "xval": ["xval", "--data-root", str(tmp_path), "--report", str(tmp_path / "r.json")],
+        "phantom": ["phantom", "--out", str(tmp_path / "o")],
+    }[command]
+    result = run(*argv, flag, value)
+    err = capsys.readouterr().err
+    assert result.exit_code == 1, err
+    assert f"argument {flag}: expected " in err and repr(value) in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_missing_or_unwritable_paths_exit_1(trained, tmp_path, capsys):
+    _, data, out = trained
+    afile = tmp_path / "afile"
+    afile.touch()
+    bad_json, bad_utf8 = tmp_path / "bad.json", tmp_path / "bad_utf8.json"
+    bad_json.write_text("{not json")
+    bad_utf8.write_bytes(b"\xff\xfe{}")
+    missing = str(tmp_path / "missing.ckpt")
+    for argv, needle in (
+        (["eval", "--ckpt", missing, "--data", str(data), "--report", str(tmp_path / "r.json")], missing),
+        (["predict", "--ckpt", missing, "--volume", str(data), "--out", str(tmp_path / "pred")], missing),
+        (["xval", "--data-root", str(tmp_path / "none"), "--report", str(tmp_path / "x.json")], "--data-root"),
+        (["xval", "--data-root", str(afile), "--report", str(tmp_path / "x.json")], "--data-root"),
+        (["track", "--volume", str(data), "--seed-point", "16,16", "--t-lo", "200", "--t-hi", "500",
+          "--out", str(tmp_path / "trk"), "--events", str(afile / "e.json")], str(afile)),
+        (["eval", "--ckpt", str(out / "model.ckpt"), "--data", str(data), "--report", str(afile / "r.json")],
+         str(afile)),
+        (["predict", "--ckpt", str(out / "model.ckpt"), "--volume", str(data), "--out", str(tmp_path / "pred"),
+          "--overlay-dir", str(afile)], str(afile)),
+        (["train", "--data", str(data), "--out", str(afile)], str(afile)),
+        (["train", "--data", str(data), "--config", str(bad_json), "--out", str(tmp_path / "run")], "bad.json"),
+        (["train", "--data", str(data), "--config", str(bad_utf8), "--out", str(tmp_path / "run")], "bad_utf8.json"),
+    ):
+        result = run(*argv)
+        err = capsys.readouterr().err
+        assert result.exit_code == 1, (argv, err)
+        assert err.startswith("vesselseg: ") and needle in err and "Traceback" not in err, err
+
+
+def test_a_plain_value_error_is_a_bug_and_exits_2(tmp_path, capsys, monkeypatch):
+    import vesselseg.cli as cli
+
+    def broken(args):
+        raise ValueError("a bug, not a malformed input")
+
+    monkeypatch.setattr(cli, "_cmd_phantom", broken)
+    result = run("phantom", "--out", str(tmp_path / "p"))
+    err = capsys.readouterr().err
+    assert result.exit_code == 2
+    assert "Traceback" in err and "a bug, not a malformed input" in err
