@@ -3,11 +3,13 @@
 A Tensor wraps an ndarray and remembers how it was produced; backward()
 walks the graph in reverse topological order and accumulates vector-
 Jacobian products into .grad. The op set is exactly what the network
-needs: elementwise arithmetic, matmul, convolution, max pooling,
-train-mode batch norm and layer norm (one normalization core,
-_normalize, serves both), the usual activations, nearest-neighbor
-upsampling, the sub-pixel phase interleave, slicing along one axis and
-shape moves.
+needs: add and mul with broadcasting, a full sum, matmul, convolution,
+max pooling, train-mode batch norm and layer norm (one normalization
+core, _normalize, serves both), the usual activations, nearest-neighbor
+upsampling, the sub-pixel phase interleave, slicing along one axis,
+shape moves, and the training loss: binary cross-entropy plus soft
+Jaccard as one op on the head's logits (bcej_from_logits) with a
+closed-form vjp.
 
 Backward consumes the graph: each non-leaf node drops its vjps and its
 .grad as soon as its vjps have run, so the memory behind it is freed
@@ -34,7 +36,7 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, expit
 
 from .errors import ShapeMismatch
 
@@ -129,17 +131,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return add(self, -other)
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -211,31 +202,6 @@ def mul(a, b) -> Tensor:
     )
 
 
-def div(a, b) -> Tensor:
-    if isinstance(b, (int, float)):
-        return mul(a, 1.0 / b)
-    a, b = as_tensor(a), as_tensor(b)
-    return _make(
-        a.data / b.data,
-        [
-            (a, lambda g: _unbroadcast(g / b.data, a.data.shape)),
-            (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)),
-        ],
-    )
-
-
-def log(x) -> Tensor:
-    x = as_tensor(x)
-    return _make(np.log(x.data), [(x, lambda g: g / x.data)])
-
-
-def clip(x, lo: float, hi: float) -> Tensor:
-    """Clamp values to [lo, hi]; gradient is zero where the clamp binds."""
-    x = as_tensor(x)
-    mask = (x.data >= lo) & (x.data <= hi)
-    return _make(np.clip(x.data, lo, hi), [(x, lambda g: g * mask)])
-
-
 # -- reductions and shape moves ------------------------------------------
 
 
@@ -244,15 +210,6 @@ def tsum(x) -> Tensor:
     return _make(
         np.asarray(x.data.sum(), dtype=x.data.dtype),
         [(x, lambda g: np.broadcast_to(g, x.data.shape).astype(x.data.dtype, copy=False))],
-    )
-
-
-def tmean(x) -> Tensor:
-    x = as_tensor(x)
-    n = x.data.size
-    return _make(
-        np.asarray(x.data.mean(), dtype=x.data.dtype),
-        [(x, lambda g: np.broadcast_to(g / n, x.data.shape).astype(x.data.dtype, copy=False))],
     )
 
 
@@ -691,3 +648,37 @@ def interleave_phases(z) -> Tensor:
         return gz
 
     return _make(out.reshape(n, c, 2 * h, 2 * w), [(z, vjp)])
+
+
+# -- the training loss -------------------------------------------------------
+
+
+def bcej_from_logits(z, k) -> Tensor:
+    """Mean binary cross-entropy plus soft Jaccard (smoothing 1) of
+    sigmoid(z) upsampled 2x by nearest neighbour, computed on the logits z.
+
+    k counts the mask's positives in the 2 x 2 block each logit covers
+    (0..4). The block's four pixels share p = sigmoid(z), so over the M
+    logits the full-resolution BCE mean is the mean of softplus(z) - (k/4) z,
+    the full-resolution sums of p y and p are sum(p k) and 4 sum(p), and no
+    p is clamped. The vjp is (p - k/4) / M plus the Jaccard term's
+    derivative in p times p (1 - p).
+    """
+    z = as_tensor(z)
+    d = z.data
+    k = np.asarray(k, dtype=d.dtype)
+    if k.shape != d.shape:
+        raise ShapeMismatch(f"logits {d.shape} and block counts {k.shape} differ")
+    m = d.size
+    p = expit(d)
+    q = k * 0.25
+    bce = (np.logaddexp(0.0, d) - q * d).mean()
+    pk = (p * k).sum()
+    inter = pk + 1.0
+    union = 4.0 * p.sum() + k.sum() - pk + 1.0
+
+    def vjp(g):
+        djac = (inter * (4.0 - k) - union * k) / (union * union)
+        return g * ((p - q) / m + djac * p * (1.0 - p))
+
+    return _make(np.asarray(bce + 1.0 - inter / union, dtype=d.dtype), [(z, vjp)])

@@ -1,12 +1,12 @@
-"""Training losses and overlap metrics.
+"""The loss in probability form, and overlap metrics.
 
-The training objective is binary cross-entropy plus a smoothed soft
-Jaccard term, both averaged/summed over the whole batch at once. The
-evaluation metrics are plain set-cardinality Dice and IoU on binarized
-masks, with per-patient aggregation done over the full 3-D volume.
-
-Loss functions accept either autodiff Tensors (differentiable, for
-training) or plain arrays (returning a float).
+The objective is binary cross-entropy plus a smoothed soft Jaccard term,
+both averaged/summed over the whole batch at once. The functions here
+take plain arrays of probabilities and return floats; training takes the
+same loss on the head's logits, as one autodiff op
+(autodiff.bcej_from_logits). The evaluation metrics are plain
+set-cardinality Dice and IoU on binarized masks, with per-patient
+aggregation done over the full 3-D volume.
 """
 
 from __future__ import annotations
@@ -17,45 +17,36 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import DimensionMismatch, ShapeMismatch
 from .volume_io import MaskVolume
 
 PROB_CLAMP = 1e-7
 
 
-def _prepare(p, y):
-    pt = p if isinstance(p, ad.Tensor) else ad.Tensor(np.asarray(p, dtype=np.float64))
-    ya = y.data if isinstance(y, ad.Tensor) else np.asarray(y)
-    if pt.data.shape != ya.shape:
-        raise ShapeMismatch(f"prediction shape {pt.data.shape} != target shape {ya.shape}")
-    ya = ya.astype(pt.data.dtype, copy=False)
-    return pt, ya, isinstance(p, ad.Tensor)
+def _prepare(p, y) -> tuple[np.ndarray, np.ndarray]:
+    p, y = np.asarray(p, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if p.shape != y.shape:
+        raise ShapeMismatch(f"prediction shape {p.shape} != target shape {y.shape}")
+    return p, y
 
 
-def bce_loss(p, y):
+def bce_loss(p, y) -> float:
     """Mean binary cross-entropy, with p clamped to [1e-7, 1 - 1e-7]."""
-    pt, ya, keep = _prepare(p, y)
-    pc = ad.clip(pt, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    term = ad.mul(ya, ad.log(pc)) + ad.mul(1.0 - ya, ad.log(1.0 - pc))
-    loss = -ad.tmean(term)
-    return loss if keep else loss.item()
+    p, y = _prepare(p, y)
+    pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
 
 
-def soft_jaccard_loss(p, y, eps: float = 1.0):
+def soft_jaccard_loss(p, y, eps: float = 1.0) -> float:
     """1 - (sum(p*y) + eps) / (sum(p) + sum(y) - sum(p*y) + eps), whole batch."""
-    pt, ya, keep = _prepare(p, y)
-    inter = ad.tsum(ad.mul(pt, ya))
-    total = ad.tsum(pt) + float(ya.sum())
-    loss = 1.0 - ad.div(inter + eps, total - inter + eps)
-    return loss if keep else loss.item()
+    p, y = _prepare(p, y)
+    inter = np.sum(p * y)
+    return float(1.0 - (inter + eps) / (np.sum(p) + np.sum(y) - inter + eps))
 
 
-def bcej_loss(p, y, eps: float = 1.0):
+def bcej_loss(p, y, eps: float = 1.0) -> float:
     """Binary cross-entropy plus soft Jaccard, unit weights."""
-    pt, ya, keep = _prepare(p, y)
-    loss = bce_loss(pt, ya) + soft_jaccard_loss(pt, ya, eps=eps)
-    return loss if keep else loss.item()
+    return bce_loss(p, y) + soft_jaccard_loss(p, y, eps=eps)
 
 
 def binarize(p: np.ndarray, threshold: float = 0.5) -> np.ndarray:

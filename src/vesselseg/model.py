@@ -9,10 +9,10 @@ With bridge_layers = 0 the bridge is skipped entirely, which degrades the
 network to a plain residual U-Net. Each of the four decoder blocks is one
 conv-BN-ReLU over its input upsampled 2x and concatenated with one skip;
 the conv runs as a 3x3 conv of the skip plus a sub-pixel conv of the
-low-res input, so neither the upsampled map nor the concat is built. A
-1x1 sigmoid conv at H/2, then a final 2x upsample, produce the
-full-resolution probability map (the head acts per pixel, so it commutes
-with the upsample).
+low-res input, so neither the upsampled map nor the concat is built.
+model_logits ends in a 1x1 conv head at H/2, one logit per 2x2 output
+block, on which training takes its loss; model_forward is their sigmoid
+upsampled 2x (both act per pixel, so they commute with the upsample).
 
 Every batch norm follows a conv (conv_bn). In train mode it normalizes
 with batch statistics; in eval mode its running statistics are folded
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DimensionMismatch, NonFiniteActivation, ShapeMismatch
+from .errors import ConfigInvalid, DimensionMismatch, NonFiniteActivation, ShapeMismatch
 from .losses import binarize, config_digest
 from .volume_io import DictConfig, HuWindow, MaskVolume, Volume, normalize_slice, to_model_input
 
@@ -437,8 +437,8 @@ def _check_finite(stage: str, t: Tensor) -> None:
         raise NonFiniteActivation(f"{bad} non-finite values after {stage} (shape {t.data.shape})")
 
 
-def model_forward(x, ps: ParamStore, mode: str = "eval") -> Tensor:
-    """Full forward pass: (batch, H, W, 3) in, (batch, H, W, 1) probabilities out.
+def model_logits(x, ps: ParamStore, mode: str = "eval") -> Tensor:
+    """(batch, H, W, 3) in, (batch, 1, H/2, W/2) head logits out.
 
     mode "train" uses batch statistics in the norm layers and updates
     their running estimates; "eval" is a pure function of (params, input).
@@ -463,10 +463,15 @@ def model_forward(x, ps: ParamStore, mode: str = "eval") -> Tensor:
     _check_finite("bridge", bridged)
     decoded = decoder_forward(bridged, skips, ps, training)
     _check_finite("decoder", decoded)
-    # the 1x1 head and the sigmoid act per pixel, so they run before the upsample
-    y = ad.conv2d(decoded, ps["head.conv.weight"], ps["head.conv.bias"], stride=1, padding=0)
-    probs = ad.sigmoid(y)
-    _check_finite("head", probs)
+    logits = ad.conv2d(decoded, ps["head.conv.weight"], ps["head.conv.bias"], stride=1, padding=0)
+    _check_finite("head", logits)
+    return logits
+
+
+def model_forward(x, ps: ParamStore, mode: str = "eval") -> Tensor:
+    """(batch, H, W, 3) in, (batch, H, W, 1) probabilities out: the sigmoid
+    of model_logits, upsampled 2x by nearest neighbour."""
+    probs = ad.sigmoid(model_logits(x, ps, mode))
     return ad.transpose(ad.upsample_nearest2x(probs), (0, 2, 3, 1))
 
 
@@ -505,7 +510,10 @@ def segment_volume(
     threshold: float = 0.5,
     batch_size: int = 8,
 ) -> MaskVolume:
-    """Run every slice through the net in eval mode and binarize."""
+    """Run every slice through the net in eval mode and binarize at threshold,
+    a number in [0, 1]."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigInvalid(f"threshold must be a number in [0, 1], got {threshold}")
     cfg = ps.config
     if volume.meta.height != cfg.input_hw or volume.meta.width != cfg.input_hw:
         raise DimensionMismatch(

@@ -2,9 +2,9 @@
 
 Patients are (Volume, MaskVolume) pairs; training pools every slice of
 every training patient, shuffles them with a seed-derived permutation per
-epoch, and optimizes the BCE-plus-Jaccard objective with bias-corrected
-Adam. Per-epoch losses and IoU go to a RunLog; the checkpoint with the
-best validation IoU is the one returned.
+epoch, and optimizes the BCE-plus-Jaccard objective, taken on the head's
+H/2 logits, with bias-corrected Adam. Per-epoch losses and IoU go to a
+RunLog; the checkpoint with the best validation IoU is the one returned.
 
 Folds follow a fixed deterministic rule: patient ids are sorted, chunked
 into excluded groups of the requested sizes, and within each group the
@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .checkpoint import Checkpoint, save_checkpoint
 from .errors import (
     ConfigInvalid,
@@ -32,16 +31,10 @@ from .errors import (
     ShapeMismatch,
     SizeMismatch,
 )
-from .losses import (
-    MetricsReport,
-    PatientResult,
-    bcej_loss,
-    binarize,
-    iou_metric,
-    patient_dice,
-    patient_iou,
-)
-from .model import ModelConfig, ParamStore, init_params, model_forward, model_input
+from .losses import MetricsReport, PatientResult, binarize, iou_metric, patient_dice, patient_iou
+from .losses import bcej_loss  # noqa: F401  perfbench wraps it here
+from .model import ModelConfig, ParamStore, init_params, model_input, model_logits
+from .model import model_forward  # noqa: F401  perfbench wraps it here
 from .model import predict_probabilities, segment_volume
 from .volume_io import DictConfig, HuWindow, MaskVolume, Volume
 from .volume_io import normalize_slice, to_model_input  # noqa: F401  perfbench wraps them here
@@ -237,6 +230,12 @@ def build_slice_dataset(
     return model_input(hu, window), masks.astype(np.float32)[..., None]
 
 
+def block_counts(masks: np.ndarray) -> np.ndarray:
+    """Positives per 2 x 2 block of (n, H, W) masks, (n, 1, H/2, W/2) float32."""
+    n, h, w = masks.shape
+    return masks.reshape(n, 1, h // 2, 2, w // 2, 2).sum(axis=(3, 5), dtype=np.float32)
+
+
 # -- training and evaluation -----------------------------------------------------
 
 
@@ -284,18 +283,18 @@ def train(
         losses = []
         for start in range(0, len(order), train_cfg.batch_size):
             idx = order[start : start + train_cfg.batch_size]
-            yb = masks[idx].astype(np.float32)[..., None]
             params.zero_grad()
-            probs = model_forward(model_input(hu[idx], train_cfg.hu_window), params, mode="train")
-            loss = bcej_loss(probs, Tensor(yb))
+            logits = model_logits(model_input(hu[idx], train_cfg.hu_window), params, mode="train")
+            loss = ad.bcej_from_logits(logits, block_counts(masks[idx]))
             loss.backward()
             grads = {n: params[n].grad for n in params.trainable_names() if params[n].grad is not None}
             adam_step(params, grads, state, train_cfg)
             losses.append(loss.item())
             if len(log.step_losses) < 16:
                 log.step_losses.append(loss.item())
-            pred[idx] = binarize(probs.data[..., 0])
-            del probs, loss, grads  # free this step's graph before the next forward
+            # p >= 0.5 exactly where the logit is >= 0; each logit covers a 2 x 2 block
+            pred[idx] = (logits.data[:, 0] >= 0).repeat(2, axis=1).repeat(2, axis=2)
+            del logits, loss, grads  # free this step's graph before the next forward
 
         val_iou = None
         if val_hu is not None:
@@ -421,13 +420,13 @@ def grad_check(
     since no single step serves both channel-wide affine parameters and
     near-zero-gradient weights.
 
-    The checked forward runs in eval mode after one warm-up pass has
-    populated the batch-norm running statistics: train-mode batch
+    The loss is the training one, bcej_from_logits on the head's logits.
+    The checked forward runs in eval mode, because train-mode batch
     statistics couple every activation to every parameter, which makes
     the loss too sharply curved for finite differences at any usable
-    step, and an unwarmed eval pass can saturate the output sigmoid. The
-    train-mode normalization backward is covered by dedicated op-level
-    tests instead.
+    step; one warm-up pass first gives the running statistics the scale
+    of the checked input. The train-mode normalization backward is
+    covered by dedicated op-level tests instead.
 
     corrupt names a parameter whose analytic gradient is doubled, as a
     self-test that the checker catches wrong gradients.
@@ -436,18 +435,20 @@ def grad_check(
     params = init_params(model_cfg, seed, dtype=np.float64)
     hw = model_cfg.input_hw
     x = rng.uniform(0.0, 1.0, size=(2, hw, hw, 3))
-    target = (rng.uniform(size=(2, hw, hw, 1)) < 0.3).astype(np.float64)
+    k = block_counts((rng.uniform(size=(2, hw, hw)) < 0.3).astype(np.uint8))
 
     with ad.no_grad():
-        model_forward(x, params, mode="train")  # warm running statistics
+        model_logits(x, params, mode="train")  # warm running statistics
+
+    def loss() -> ad.Tensor:
+        return ad.bcej_from_logits(model_logits(x, params, mode="eval"), k)
 
     def loss_value() -> float:
         with ad.no_grad():
-            return bcej_loss(model_forward(x, params, mode="eval").data, target)
+            return loss().item()
 
     params.zero_grad()
-    loss = bcej_loss(model_forward(x, params, mode="eval"), Tensor(target))
-    loss.backward()
+    loss().backward()
     grads = {}
     for name in params.trainable_names():
         g = params[name].grad

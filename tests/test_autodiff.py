@@ -13,7 +13,8 @@ from vesselseg import autodiff as ad
 from vesselseg.autodiff import Tensor
 from vesselseg.errors import ShapeMismatch
 from vesselseg.losses import bcej_loss
-from vesselseg.model import ParamStore, conv_bn, init_params, model_forward, tiny_config
+from vesselseg.model import ParamStore, conv_bn, init_params, model_logits, tiny_config
+from vesselseg.training import block_counts
 
 RNG = np.random.default_rng(20240101)
 
@@ -43,10 +44,71 @@ def fd_check(build, *shapes, h=1e-6, tol=1e-6, samples=6):
 def test_arithmetic_and_broadcast_grads():
     fd_check(lambda a, b: ad.tsum(ad.mul(a, b)), (3, 4), (3, 4))
     fd_check(lambda a, b: ad.tsum(ad.mul(ad.add(a, b), ad.add(a, b))), (3, 4), (4,))
-    fd_check(lambda a, b: ad.tsum(ad.div(a, ad.add(ad.mul(b, b), 1.0))), (3, 4), (3, 4))
-    fd_check(lambda a: ad.tmean(ad.mul(a, a)), (5, 6))
-    fd_check(lambda a: ad.tsum(ad.log(ad.add(ad.mul(a, a), 1.0))), (40,))
-    fd_check(lambda a: ad.tsum(ad.clip(a, -0.5, 0.5)), (40,))
+    fd_check(lambda a: ad.tsum(ad.mul(ad.add(a, 1.5), 3.0)), (5, 6))
+
+
+@pytest.mark.parametrize("fill", [None, 0, 4])
+def test_bcej_from_logits_matches_finite_differences(fill):
+    shape = (2, 1, 3, 5)
+    k = RNG.integers(0, 5, size=shape) if fill is None else np.full(shape, fill)
+    fd_check(lambda z: ad.bcej_from_logits(z, k), shape, samples=12)
+
+
+def _full_resolution_oracle(z, mask):
+    """The probability-form loss of the nearest-upsampled sigmoid, and its
+    gradient in z: the BCE and soft-Jaccard derivatives in each pixel's p,
+    written out by hand and chained back through the sigmoid and upsample ops."""
+    zt = Tensor(z, requires_grad=True)
+    pt = ad.upsample_nearest2x(ad.sigmoid(zt))
+    p, y, n = pt.data, mask.astype(np.float64), mask.size
+    inter = (p * y).sum() + 1.0
+    union = p.sum() + y.sum() - (p * y).sum() + 1.0
+    dbce = (-y / p + (1.0 - y) / (1.0 - p)) / n
+    djac = -(y * union - inter * (1.0 - y)) / union**2
+    pt.backward(dbce + djac)
+    return bcej_loss(p, y), zt.grad
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_bcej_from_logits_equals_the_full_resolution_probability_loss(case):
+    rng = np.random.default_rng(case)
+    n, h, w = (1, 2, 3)[case % 3], 4 + case, 6
+    z = rng.normal(scale=3.0, size=(n, 1, h, w))
+    mask = (rng.uniform(size=(n, 2 * h, 2 * w)) < (0.0, 0.3, 1.0)[case // 2]).astype(np.uint8)
+    want_loss, want_grad = _full_resolution_oracle(z, mask[:, None])
+    zt = Tensor(z, requires_grad=True)
+    loss = ad.bcej_from_logits(zt, block_counts(mask))
+    loss.backward()
+    assert loss.data.dtype == np.float64
+    assert abs(loss.item() - want_loss) <= 1e-12
+    assert np.abs(zt.grad - want_grad).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_wrong_side_logit_keeps_its_bce_gradient(dtype):
+    """A logit of -30 over an all-positive block, and +30 over an empty one,
+    gets (sigmoid(z) - y) / N, which the clamped probability loss zeroed."""
+    z = RNG.normal(size=(2, 1, 4, 4))
+    k = RNG.integers(0, 5, size=z.shape)
+    z[0, 0, 1, 2], k[0, 0, 1, 2] = -30.0, 4
+    z[1, 0, 3, 0], k[1, 0, 3, 0] = 30.0, 0
+    zt = Tensor(z.astype(dtype), requires_grad=True)
+    ad.bcej_from_logits(zt, k).backward()
+    n = z.size
+    assert abs(zt.grad[0, 0, 1, 2] - (1.0 / (1.0 + np.exp(30.0)) - 1.0) / n) <= 1e-6
+    assert abs(zt.grad[1, 0, 3, 0] - (1.0 / (1.0 + np.exp(-30.0)) - 0.0) / n) <= 1e-6
+
+
+def test_bcej_from_logits_is_finite_at_extreme_logits_and_checks_shapes():
+    z = Tensor(np.array([[[[-1e4, 1e4], [0.0, 80.0]]]], dtype=np.float32), requires_grad=True)
+    loss = ad.bcej_from_logits(z, np.array([[[[4, 0], [2, 0]]]]))
+    loss.backward()
+    assert np.isfinite(loss.item()) and np.isfinite(z.grad).all()
+    # p = (0, 1, 1/2, 1): sum(p k) = 1, sum(p) = 5/2, sum(k) = 6
+    jaccard = 1.0 - (1.0 + 1.0) / (4 * 2.5 + 6.0 - 1.0 + 1.0)
+    assert loss.item() == pytest.approx((1e4 + 1e4 + np.log(2.0) + 80.0) / 4 + jaccard, rel=1e-6)
+    with pytest.raises(ShapeMismatch):
+        ad.bcej_from_logits(z, np.zeros((1, 1, 2, 3)))
 
 
 def test_matmul_and_linear_grads():
@@ -401,7 +463,8 @@ def test_dtype_preserved():
     a = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
     w = Tensor(np.ones((1, 2, 3, 3), dtype=np.float32))
     assert ad.mul(a, 2.0).data.dtype == np.float32
-    assert (a - 1.0).data.dtype == np.float32
+    assert ad.add(a, -1.0).data.dtype == np.float32
+    assert ad.bcej_from_logits(a, np.ones((2, 2))).data.dtype == np.float32
     assert ad.gelu(a).data.dtype == np.float32
     assert ad.sigmoid(a).data.dtype == np.float32
     x = Tensor(np.ones((1, 2, 8, 8), dtype=np.float32))
@@ -627,11 +690,11 @@ def _graph_nodes(root) -> list:
 def test_backward_consumes_the_graph_with_the_retaining_walks_grads(dtype):
     rng = np.random.default_rng(17)
     x = rng.uniform(size=(2, 32, 32, 3)).astype(dtype)
-    y = (rng.uniform(size=(2, 32, 32, 1)) < 0.3).astype(dtype)
+    k = block_counts((rng.uniform(size=(2, 32, 32)) < 0.3).astype(np.uint8))
     grads = []
     for walk in (_retaining_backward, Tensor.backward):
         params = init_params(tiny_config(), seed=5, dtype=dtype)
-        loss = bcej_loss(model_forward(x, params, mode="train"), Tensor(y))
+        loss = ad.bcej_from_logits(model_logits(x, params, mode="train"), k)
         inner = [t for t in _graph_nodes(loss) if t._inputs]
         walk(loss)
         grads.append({n: params[n].grad for n in params.trainable_names()})

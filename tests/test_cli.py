@@ -328,6 +328,18 @@ def test_out_naming_an_existing_file_exits_1(trained, tmp_path, capsys, command)
     assert afile.is_file() and afile.stat().st_size == 0
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-0.1", "1.5"])
+def test_predict_threshold_outside_0_1_exits_1(trained, tmp_path, capsys, threshold):
+    _, data, out = trained
+    pred = tmp_path / "pred"
+    result = run("predict", "--ckpt", str(out / "model.ckpt"), "--volume", str(data),
+                 "--out", str(pred), "--threshold", threshold)
+    err = capsys.readouterr().err
+    assert result.exit_code == 1, err
+    assert err.startswith("vesselseg: ") and "threshold" in err and "Traceback" not in err
+    assert not pred.exists()
+
+
 def test_bad_usage_exit_codes(tmp_path, capsys):
     assert run("phantom", "--nope").exit_code == 1
     assert run("phantom").exit_code == 1  # missing --out

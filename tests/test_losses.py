@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from vesselseg import autodiff as ad
 from vesselseg.autodiff import Tensor
 from vesselseg.errors import DimensionMismatch, ShapeMismatch
 from vesselseg.losses import (
@@ -18,6 +19,7 @@ from vesselseg.losses import (
     patient_dice,
     soft_jaccard_loss,
 )
+from vesselseg.training import block_counts
 from vesselseg.volume_io import MaskVolume, VolumeMeta
 
 RNG = np.random.default_rng(77)
@@ -124,21 +126,24 @@ def test_soft_jaccard_approaches_hard_iou():
 
 
 def test_bcej_gradient_finite_and_matches_fd():
-    p = Tensor(RNG.uniform(0.05, 0.95, size=40), requires_grad=True)
-    y = RNG.integers(0, 2, size=40).astype(float)
-    loss = bcej_loss(p, Tensor(y))
-    loss.backward()
-    assert np.isfinite(p.grad).all()
-    h = 1e-7
+    """The training op's gradient in the logits is the derivative of bcej_loss
+    on the nearest-upsampled sigmoid, by central differences."""
+    z = Tensor(RNG.normal(scale=2.0, size=(2, 1, 4, 5)), requires_grad=True)
+    mask = RNG.integers(0, 2, size=(2, 8, 10)).astype(np.uint8)
+    ad.bcej_from_logits(z, block_counts(mask)).backward()
+    assert np.isfinite(z.grad).all()
+
+    def loss(logits):
+        p = ad.upsample_nearest2x(ad.sigmoid(Tensor(logits))).data
+        return bcej_loss(p, mask[:, None])
+
+    h = 1e-6
     for i in (0, 13, 39):
-        orig = p.data[i]
-        p.data[i] = orig + h
-        lp = bcej_loss(p.data, y)
-        p.data[i] = orig - h
-        lm = bcej_loss(p.data, y)
-        p.data[i] = orig
-        fd = (lp - lm) / (2 * h)
-        assert p.grad[i] == pytest.approx(fd, rel=1e-5)
+        zp, zm = z.data.copy(), z.data.copy()
+        zp.flat[i] += h
+        zm.flat[i] -= h
+        fd = (loss(zp) - loss(zm)) / (2 * h)
+        assert z.grad.flat[i] == pytest.approx(fd, rel=1e-5)
 
 
 def _mask_volume(arr):

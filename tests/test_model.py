@@ -18,6 +18,7 @@ from vesselseg.autodiff import Tensor
 from vesselseg.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from vesselseg.errors import (
     BadMagic,
+    ConfigInvalid,
     DimensionMismatch,
     ManifestMismatch,
     NonFiniteActivation,
@@ -34,6 +35,7 @@ from vesselseg.model import (
     init_params,
     model_forward,
     model_input,
+    model_logits,
     multi_head_attention,
     param_manifest,
     predict_probabilities,
@@ -388,6 +390,19 @@ def test_model_forward_shape_range_determinism():
     np.testing.assert_array_equal(out1, out2)
 
 
+@pytest.mark.parametrize("mode", ["eval", "train"])
+def test_model_forward_is_the_upsampled_sigmoid_of_model_logits(mode):
+    ps = init_params(small_cfg(), 0)
+    x = RNG.uniform(size=(2, 64, 64, 3)).astype(np.float32)
+    with ad.no_grad():
+        probs = model_forward(x, ps.copy(), mode=mode).data
+        logits = model_logits(x, ps.copy(), mode=mode)
+    assert logits.shape == (2, 1, 32, 32)
+    want = ad.transpose(ad.upsample_nearest2x(ad.sigmoid(logits)), (0, 2, 3, 1)).data
+    assert probs.dtype == want.dtype == np.float32
+    assert probs.tobytes() == want.tobytes()
+
+
 def test_model_forward_input_validation():
     ps = init_params(small_cfg(), 0)
     with pytest.raises(ShapeMismatch):
@@ -431,6 +446,19 @@ def test_segment_volume_contracts():
     small, _ = generate(PhantomSpec(dims=(2, 32, 32), seed=2))
     with pytest.raises(DimensionMismatch):
         segment_volume(ps, small, window)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf"), -0.1, 1.5])
+def test_segment_volume_and_evaluate_reject_a_threshold_outside_0_1(threshold):
+    from vesselseg.training import evaluate
+
+    ps = init_params(small_cfg(hw=32), 0)
+    vol, mask = generate(PhantomSpec(dims=(2, 32, 32), seed=2))
+    with pytest.raises(ConfigInvalid, match="threshold"):
+        segment_volume(ps, vol, HuWindow(), threshold=threshold)
+    ckpt = Checkpoint(config=ps.config, params=ps, meta={"seed": 0})
+    with pytest.raises(ConfigInvalid, match="threshold"):
+        evaluate(ckpt, [(vol, mask)], threshold=threshold)
 
 
 def test_segment_volume_trained_on_empty_stays_near_empty():

@@ -222,7 +222,7 @@ def test_train_determinism_first_steps():
 def test_train_frees_each_step_graph_before_the_next_forward(monkeypatch):
     """Only one step's graph is alive at a time: the previous step's output
     is gone by the time the next forward starts."""
-    forward = training_mod.model_forward
+    forward = training_mod.model_logits
     outputs, alive_at_start = [], []
 
     def recording_forward(x, ps, mode="eval"):
@@ -231,7 +231,7 @@ def test_train_frees_each_step_graph_before_the_next_forward(monkeypatch):
         outputs.append(weakref.ref(out.data))
         return out
 
-    monkeypatch.setattr(training_mod, "model_forward", recording_forward)
+    monkeypatch.setattr(training_mod, "model_logits", recording_forward)
     train(tiny_config(), TrainConfig(batch_size=2, epochs=1, seed=5), _micro_patients(2))
     assert len(outputs) == 4
     assert alive_at_start == [0, 0, 0, 0]
@@ -307,17 +307,16 @@ def test_grad_check_negative_control():
 _TRAIN_STEP_512 = """
 import resource, sys
 import numpy as np
-from vesselseg.autodiff import Tensor
-from vesselseg.losses import bcej_loss
-from vesselseg.model import ModelConfig, init_params, model_forward
-from vesselseg.training import AdamState, TrainConfig, adam_step
+from vesselseg.autodiff import bcej_from_logits
+from vesselseg.model import ModelConfig, init_params, model_logits
+from vesselseg.training import AdamState, TrainConfig, adam_step, block_counts
 
 params = init_params(ModelConfig(), seed=0)
 state = AdamState.for_params(params)
 rng = np.random.default_rng(0)
 x = rng.uniform(size=(1, 512, 512, 3)).astype(np.float32)
-y = (rng.uniform(size=(1, 512, 512, 1)) < 0.1).astype(np.float32)
-loss = bcej_loss(model_forward(x, params, mode="train"), Tensor(y))
+y = (rng.uniform(size=(1, 512, 512)) < 0.1).astype(np.uint8)
+loss = bcej_from_logits(model_logits(x, params, mode="train"), block_counts(y))
 loss.backward()
 adam_step(params, {n: params[n].grad for n in params.trainable_names()}, state, TrainConfig())
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux, bytes on macOS
