@@ -11,15 +11,21 @@ shape moves, and the training loss: binary cross-entropy plus soft
 Jaccard as one op on the head's logits (bcej_from_logits) with a
 closed-form vjp.
 
+The graph keeps parent nodes, not parent data. Each Tensor owns a _Node
+that holds its .grad, its edges ((parent node, vjp) pairs) and only a
+weak reference back to the tensor, so an intermediate result that no vjp
+reads (a batch-norm output in front of a relu, a residual sum, a
+pre-bias projection) is freed as soon as the model code drops it. What a
+vjp reads it captures itself; add and the shape moves capture shapes
+only. The convolution and normalization vjps keep only their inputs'
+data and per-channel or per-row state; they rebuild the phase buffer,
+the tap weights and the normalized input at backward time. Relu keeps a
+bool mask and max pooling one byte per output, both only when their
+input is on a grad path. Vjps read parameter data at backward time.
+
 Backward consumes the graph: each non-leaf node drops its vjps and its
 .grad as soon as its vjps have run, so the memory behind it is freed
-during the walk, and only leaves keep .grad. Each activation sits on the
-tape once. The convolution and normalization vjps keep only their
-inputs' data, which the input tensors hold anyway, and per-channel or
-per-row state; they rebuild the phase buffer, the tap weights and the
-normalized input at backward time. Relu keeps a bool mask and max
-pooling one byte per output, both only when their input is on a grad
-path. Vjps read parameter data at backward time.
+during the walk, and only leaves keep .grad.
 
 Convolution uses cross-correlation semantics (no kernel flip) and builds
 no im2col matrix: it sums one GEMM per kernel tap (one GEMM over all taps
@@ -33,6 +39,7 @@ finite-difference verification.
 from __future__ import annotations
 
 import math
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -55,17 +62,53 @@ def no_grad():
         _grad_enabled = prev
 
 
-class Tensor:
-    """An ndarray plus the tape entry that produced it."""
+class _Node:
+    """A tensor's place in the graph: its gradient and its edges.
 
-    __slots__ = ("data", "grad", "requires_grad", "_inputs")
+    _inputs lists (parent node, vjp) pairs. The node refers to its tensor
+    only weakly, so an edge to it keeps no data alive; data is the
+    tensor's array while the tensor lives and None after.
+    """
+
+    __slots__ = ("grad", "_inputs", "_tensor")
+
+    def __init__(self, tensor: "Tensor"):
+        self.grad: np.ndarray | None = None
+        self._inputs: list = []
+        self._tensor = weakref.ref(tensor)
+
+    @property
+    def data(self) -> np.ndarray | None:
+        tensor = self._tensor()
+        return None if tensor is None else tensor.data
+
+
+class Tensor:
+    """An ndarray plus the graph node (_node) that records how it was
+    produced; .grad and ._inputs read and write the node."""
+
+    __slots__ = ("data", "requires_grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
-        self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        # list of (parent Tensor, vjp callable) pairs
-        self._inputs: list = []
+        self._node = _Node(self)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        self._node.grad = value
+
+    @property
+    def _inputs(self) -> list:
+        return self._node._inputs
+
+    @_inputs.setter
+    def _inputs(self, value):
+        self._node._inputs = value
 
     # -- basic protocol -------------------------------------------------
     @property
@@ -82,6 +125,7 @@ class Tensor:
     def backward(self, grad: np.ndarray | None = None):
         """Accumulate d(self)/d(leaf) into every reachable leaf's .grad.
 
+        The seed grad must be shaped like self (it defaults to 1 for a scalar).
         Backward consumes the graph. Nodes run in reverse topological order,
         and once a non-leaf node's vjps have run it drops its _inputs and its
         .grad, so the vjp closures and activations behind it are freed during
@@ -93,11 +137,14 @@ class Tensor:
             if self.data.size != 1:
                 raise ShapeMismatch("backward() without a seed needs a scalar output")
             grad = np.ones_like(self.data)
-        self.grad = np.asarray(grad, dtype=self.data.dtype)
+        grad = np.asarray(grad, dtype=self.data.dtype)
+        if grad.shape != self.data.shape:
+            raise ShapeMismatch(f"backward() seed {grad.shape} does not match output {self.data.shape}")
+        self._node.grad = grad
 
-        order: list[Tensor] = []
+        order: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(self._node, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -138,15 +185,16 @@ def as_tensor(x) -> Tensor:
 
 def _on_tape(x: Tensor) -> bool:
     """Whether an op on x records a vjp: grad is enabled and x is on a grad path."""
-    return _grad_enabled and (x.requires_grad or bool(x._inputs))
+    return _grad_enabled and (x.requires_grad or bool(x._node._inputs))
 
 
 def _make(data, inputs) -> Tensor:
-    """Build an op result, attaching vjps only when a grad path exists."""
+    """Build an op result from (parent Tensor, vjp) pairs, attaching edges to
+    the parents' nodes only when a grad path exists."""
     out = Tensor(data)
-    live = [(p, fn) for p, fn in inputs if _on_tape(p)]
+    live = [(p._node, fn) for p, fn in inputs if _on_tape(p)]
     if live:
-        out._inputs = live
+        out._node._inputs = live
         out.requires_grad = True
     return out
 
@@ -173,15 +221,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a, b) -> Tensor:
     if isinstance(b, (int, float)):
         a = as_tensor(a)
-        return _make(a.data + b, [(a, lambda g: _unbroadcast(g, a.data.shape))])
+        a_shape = a.data.shape
+        return _make(a.data + b, [(a, lambda g: _unbroadcast(g, a_shape))])
     if isinstance(a, (int, float)):
         return add(b, a)
     a, b = as_tensor(a), as_tensor(b)
+    a_shape, b_shape = a.data.shape, b.data.shape
     return _make(
         a.data + b.data,
         [
-            (a, lambda g: _unbroadcast(g, a.data.shape)),
-            (b, lambda g: _unbroadcast(g, b.data.shape)),
+            (a, lambda g: _unbroadcast(g, a_shape)),
+            (b, lambda g: _unbroadcast(g, b_shape)),
         ],
     )
 
@@ -206,6 +256,12 @@ def mul(a, b) -> Tensor:
 
 
 def tsum(x) -> Tensor:
+    """The sum of all elements.
+
+    The vjp keeps x itself, though it reads only x's shape and dtype. The
+    model never calls tsum; it closes hand-built graphs in tests and in
+    perfbench, whose tape-probe test counts x's buffer as held by this vjp.
+    """
     x = as_tensor(x)
     return _make(
         np.asarray(x.data.sum(), dtype=x.data.dtype),
@@ -215,7 +271,8 @@ def tsum(x) -> Tensor:
 
 def reshape(x, shape) -> Tensor:
     x = as_tensor(x)
-    return _make(x.data.reshape(shape), [(x, lambda g: g.reshape(x.data.shape))])
+    x_shape = x.data.shape
+    return _make(x.data.reshape(shape), [(x, lambda g: g.reshape(x_shape))])
 
 
 def transpose(x, axes) -> Tensor:
@@ -266,7 +323,13 @@ def linear(x, weight, bias=None) -> Tensor:
 
 
 def relu(x) -> Tensor:
-    """max(x, 0); the bool mask backward reads is built only when x is on a grad path."""
+    """max(x, 0).
+
+    The vjp keeps a bool mask of x > 0, a quarter of the bytes of a float32
+    x or output it could read instead, so the batch-norm output or residual
+    sum in front of a relu is freed once the model drops it. The mask is
+    built only when x is on a grad path.
+    """
     x = as_tensor(x)
     out_data = np.maximum(x.data, 0)
     if not _on_tape(x):

@@ -3,6 +3,7 @@ convolution and max pooling against independent reference implementations."""
 
 import tracemalloc
 import types
+import weakref
 from functools import partial
 
 import numpy as np
@@ -581,19 +582,17 @@ def _base(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _closure_arrays(fns) -> list:
-    """Every ndarray (as the buffer it views) reachable from the closure cells of fns."""
-    found, seen = {}, set()
+def _closure_values(fns) -> list:
+    """Every value reachable from the closure cells of fns, through nested
+    functions, lists and tuples."""
+    found, seen = [], set()
 
     def visit(v):
         if id(v) in seen:
             return
         seen.add(id(v))
-        if isinstance(v, Tensor):
-            visit(v.data)
-        elif isinstance(v, np.ndarray):
-            found[id(_base(v))] = _base(v)
-        elif isinstance(v, (list, tuple)):
+        found.append(v)
+        if isinstance(v, (list, tuple)):
             for item in v:
                 visit(item)
         elif isinstance(v, types.FunctionType):
@@ -602,6 +601,16 @@ def _closure_arrays(fns) -> list:
 
     for fn in fns:
         visit(fn)
+    return found
+
+
+def _closure_arrays(fns) -> list:
+    """Every ndarray (as the buffer it views) reachable from the closure cells of fns."""
+    found = {}
+    for v in _closure_values(fns):
+        a = v.data if isinstance(v, Tensor) else v
+        if isinstance(a, np.ndarray):
+            found[id(_base(a))] = _base(a)
     return list(found.values())
 
 
@@ -713,21 +722,32 @@ def test_backward_consumes_the_graph_with_the_retaining_walks_grads(dtype):
 
 
 @pytest.mark.parametrize("c_in, stride, training", [(3, 2, True), (8, 1, False), (64, 1, True)])
-def test_conv_and_batch_norm_vjps_keep_only_inputs_and_per_channel_state(c_in, stride, training):
+def test_conv_and_batch_norm_vjps_keep_only_inputs_and_per_channel_state(c_in, stride, training, monkeypatch):
     rng = np.random.default_rng(c_in)
     c_out = 6
 
     def param(*shape):
         return Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
 
+    # The graph's edges hold parent nodes, whose data may already be freed, so
+    # each op's parent tensors are recorded (and kept alive) as it is built.
+    given = {}  # node -> {parent node: the parent Tensor the op was given}
+    make = ad._make
+
+    def recording_make(data, inputs):
+        out = make(data, inputs)
+        given[out._node] = {p._node: p for p, _ in inputs}
+        return out
+
+    monkeypatch.setattr(ad, "_make", recording_make)
     x, w, gamma, beta = param(2, c_in, 12, 12), param(c_out, c_in, 3, 3), param(c_out), param(c_out)
     ps = _conv_bn_store(w, gamma, beta, np.zeros(c_out, np.float32), np.ones(c_out, np.float32))
     # train mode is conv then batch_norm; eval mode folds the norm into the conv
     z = conv_bn(partial(ad.conv2d, x, stride=stride, padding=1), ps, "conv.weight", "bn", training)
-    nodes = [t for t in _graph_nodes(z) if t._inputs]
+    nodes = [node for node in _graph_nodes(z._node) if node._inputs]
     assert len(nodes) >= (2 if training else 6)
     for out in nodes:
-        own = {id(_base(p.data)) for p, _ in out._inputs}
+        own = {id(_base(given[out][p].data)) for p, _ in out._inputs}
         for a in _closure_arrays([vjp for _, vjp in out._inputs]):
             assert id(a) in own or a.size <= max(c_in, c_out), (a.shape, a.dtype)
 
@@ -744,3 +764,70 @@ def test_layer_norm_vjps_keep_only_the_input_and_per_row_state(shape):
     assert any(a is x.data for a in held)
     for a in held:
         assert a is x.data or a.size <= max(rows, d), (a.shape, a.dtype)
+
+
+def test_backward_seed_must_match_the_output_shape():
+    for seed_shape in [(3,), (4, 2, 3), (3, 2)]:
+        x = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
+        with pytest.raises(ShapeMismatch):
+            ad.mul(x, 2.0).backward(np.ones(seed_shape))
+        assert x.grad is None
+    with pytest.raises(ShapeMismatch):
+        ad.mul(x, 2.0).backward()  # no seed for a non-scalar output
+    ad.mul(x, 2.0).backward(np.ones((2, 3)))
+    np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+
+
+def test_add_and_shape_moves_capture_no_tensor():
+    x = Tensor(RNG.normal(size=(2, 8, 3, 3)), requires_grad=True)
+    y = Tensor(RNG.normal(size=(8, 1, 1)), requires_grad=True)
+    outs = [
+        ad.add(x, y),
+        ad.add(x, 2.0),
+        ad.reshape(x, (2, -1)),
+        ad.transpose(x, (0, 2, 3, 1)),
+        ad.slice_axis(x, 1, 2, 5),
+        ad.interleave_phases(x),
+    ]
+    for out in outs:
+        assert out._inputs and all(isinstance(p, ad._Node) for p, _ in out._inputs)
+        held = _closure_values([vjp for _, vjp in out._inputs])
+        assert not any(isinstance(v, (Tensor, ad._Node)) for v in held), held
+
+
+def _residual_chain(dtype):
+    """relu(relu(batch_norm(conv(x))) + x), with the batch-norm output and the
+    residual sum returned alongside; the same values for every call."""
+    rng = np.random.default_rng(29)
+
+    def param(*shape):
+        return Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+
+    leaves = [param(2, 4, 6, 6), param(4, 4, 3, 3), param(4), param(4)]
+    x, w, gamma, beta = leaves
+    running = [np.zeros(4, dtype), np.ones(4, dtype)]
+    bn = ad.batch_norm(ad.conv2d(x, w, padding=1), gamma, beta, *running)
+    total = ad.add(ad.relu(bn), x)
+    return ad.relu(total), bn, total, leaves, running
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_graph_frees_the_data_no_vjp_reads(dtype):
+    results = []
+    for walk in (_retaining_backward, Tensor.backward):
+        out, bn, total, leaves, running = _residual_chain(dtype)
+        nodes = _graph_nodes(out._node)
+        held = {id(a) for a in _closure_arrays([vjp for node in nodes for _, vjp in node._inputs])}
+        assert id(_base(bn.data)) not in held and id(_base(total.data)) not in held
+        freed = [weakref.ref(bn.data), weakref.ref(total.data)]
+        bn_node, total_node = bn._node, total._node
+        assert bn_node in nodes and total_node in nodes
+        del bn, total, nodes
+        assert all(ref() is None for ref in freed)  # relu keeps a mask and add only shapes
+        assert bn_node.data is None and total_node.data is None
+        walk(ad.tsum(out))
+        results.append([t.grad for t in leaves] + running)
+    want, got = results
+    for g, o in zip(got, want):
+        assert g.dtype == o.dtype == dtype
+        assert g.tobytes() == o.tobytes()

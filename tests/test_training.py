@@ -324,13 +324,13 @@ print(peak / (1024 * 1024 if sys.platform == "darwin" else 1024))
 """
 
 
-def test_full_width_512_train_step_peaks_under_1300_mib():
-    """One paper-size step (35.1 M params, batch 1) in a fresh process stays
-    under the 1.3 GB training-memory target."""
+def test_full_width_512_train_step_peaks_under_900_mib():
+    """One paper-size step (35.1 M params, batch 1) in a fresh process peaks
+    under 900 MiB: the graph keeps no activation that no vjp reads."""
     env = dict(os.environ, PYTHONPATH=str(Path(vesselseg.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", _TRAIN_STEP_512], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
     peak_mib = float(proc.stdout.split()[-1])
-    assert peak_mib < 1300, f"peak RSS {peak_mib:.0f} MiB"
+    assert peak_mib < 900, f"peak RSS {peak_mib:.0f} MiB"
