@@ -14,6 +14,12 @@ model_logits ends in a 1x1 conv head at H/2, one logit per 2x2 output
 block, on which training takes its loss; model_forward is their sigmoid
 upsampled 2x (both act per pixel, so they commute with the upsample).
 
+Feature maps are channels-last, (batch, H, W, C), as autodiff's ops take
+them: the (batch, H, W, 3) input goes in as it is, the bridge's tokens are
+a reshape of the H/32 map, and the head's logits come out as
+(batch, H/2, W/2, 1). Parameter shapes do not depend on the layout (conv
+weights stay (out, in, kh, kw)).
+
 Every batch norm follows a conv (conv_bn). In train mode it normalizes
 with batch statistics; in eval mode its running statistics are folded
 into that conv's weight and bias, so an eval forward runs no norm op.
@@ -376,8 +382,8 @@ def bridge_forward(bridge_in: Tensor, ps: ParamStore) -> Tensor:
     cfg = ps.config
     if cfg.bridge_layers == 0:
         return bridge_in
-    n, c, h, w = bridge_in.shape
-    tokens = ad.reshape(ad.transpose(bridge_in, (0, 2, 3, 1)), (n, h * w, c))
+    n, h, w, c = bridge_in.shape
+    tokens = ad.reshape(bridge_in, (n, h * w, c))
     t = ad.linear(tokens, ps["bridge.in_proj.weight"], ps["bridge.in_proj.bias"])
     t = t + ps["bridge.pos_embed"]
     for i in range(cfg.bridge_layers):
@@ -386,7 +392,6 @@ def bridge_forward(bridge_in: Tensor, ps: ParamStore) -> Tensor:
     t = ad.linear(t, ps["bridge.out_proj.weight"], ps["bridge.out_proj.bias"])
     fm = ad.reshape(t, (n, h, w, c))
     fm = ad.layer_norm(fm, ps["bridge.post_ln.gamma"], ps["bridge.post_ln.beta"])
-    fm = ad.transpose(fm, (0, 3, 1, 2))
     fm = ad.conv2d(fm, ps["bridge.conv.weight"], ps["bridge.conv.bias"], stride=1, padding=1)
     return ad.relu(fm)
 
@@ -411,7 +416,7 @@ def _upsample_concat_conv(y: Tensor, skip: Tensor, w: Tensor, bias) -> Tensor:
     places each phase on its output pixels.
     """
     c_out, c_in = w.shape[:2]
-    c_y = y.shape[1]
+    c_y = y.shape[3]
     w_y = ad.reshape(ad.slice_axis(w, 1, 0, c_y), (c_out * c_y, 9))
     folded = ad.reshape(ad.matmul(w_y, _SUBPIXEL_FOLD.astype(w.data.dtype)), (c_out, c_y, 4, 2, 2))
     folded = ad.reshape(ad.transpose(folded, (2, 0, 1, 3, 4)), (4 * c_out, c_y, 2, 2))
@@ -438,7 +443,7 @@ def _check_finite(stage: str, t: Tensor) -> None:
 
 
 def model_logits(x, ps: ParamStore, mode: str = "eval") -> Tensor:
-    """(batch, H, W, 3) in, (batch, 1, H/2, W/2) head logits out.
+    """(batch, H, W, 3) in, (batch, H/2, W/2, 1) head logits out.
 
     mode "train" uses batch statistics in the norm layers and updates
     their running estimates; "eval" is a pure function of (params, input).
@@ -455,9 +460,7 @@ def model_logits(x, ps: ParamStore, mode: str = "eval") -> Tensor:
             f"input is {data.shape[1]}x{data.shape[2]} but the config wants "
             f"{cfg.input_hw}x{cfg.input_hw}"
         )
-    t = ad.transpose(x if isinstance(x, Tensor) else Tensor(data), (0, 3, 1, 2))
-
-    bridge_in, skips = encoder_forward(t, ps, training)
+    bridge_in, skips = encoder_forward(x if isinstance(x, Tensor) else Tensor(data), ps, training)
     _check_finite("encoder", bridge_in)
     bridged = bridge_forward(bridge_in, ps)
     _check_finite("bridge", bridged)
@@ -471,8 +474,7 @@ def model_logits(x, ps: ParamStore, mode: str = "eval") -> Tensor:
 def model_forward(x, ps: ParamStore, mode: str = "eval") -> Tensor:
     """(batch, H, W, 3) in, (batch, H, W, 1) probabilities out: the sigmoid
     of model_logits, upsampled 2x by nearest neighbour."""
-    probs = ad.sigmoid(model_logits(x, ps, mode))
-    return ad.transpose(ad.upsample_nearest2x(probs), (0, 2, 3, 1))
+    return ad.upsample_nearest2x(ad.sigmoid(model_logits(x, ps, mode)))
 
 
 def model_input(hu_slices: np.ndarray, window: HuWindow) -> np.ndarray:

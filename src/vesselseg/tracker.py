@@ -111,10 +111,15 @@ def connected_region(
     labels, counts = _label_overlaps(hu_slice[box], window, seed[box], connectivity)
     edges = (labels[0], y0 > 0), (labels[-1], y1 < h), (labels[:, 0], x0 > 0), (labels[:, -1], x1 < w)
     if any(inner and counts[edge].any() for edge, inner in edges):  # a seed-holding component leaves the box
-        box = (slice(None), slice(None))
-        labels, counts = _label_overlaps(hu_slice, window, seed, connectivity)
+        return _whole_slice_region(hu_slice, window, seed, connectivity, min_overlap_px)
     out[box] = (counts >= min_overlap_px)[labels]
     return out
+
+
+def _whole_slice_region(hu_slice, window, seed, connectivity, min_overlap_px) -> np.ndarray:
+    """connected_region by labelling the whole slice at once."""
+    labels, counts = _label_overlaps(hu_slice, window, seed, connectivity)
+    return (counts >= min_overlap_px)[labels]
 
 
 def _label_overlaps(hu, window, seed, connectivity):
@@ -131,7 +136,12 @@ def _label_overlaps(hu, window, seed, connectivity):
 
 
 def track_volume(volume: Volume, cfg: TrackerConfig) -> tuple[MaskVolume, list[TrackEvent]]:
-    """Walk the stack slice by slice from a single seed pixel on slice 0."""
+    """Walk the stack slice by slice from a single seed pixel on slice 0.
+
+    Slice 0 is labelled whole: a vessel wider than WINDOW_MARGIN_PX reaches
+    the edge of the one-pixel seed's box, so the windowed labelling would
+    label that slice twice. Later slices use connected_region.
+    """
     sx, sy = cfg.seed_point
     if not (0 <= sx < volume.meta.width and 0 <= sy < volume.meta.height):
         raise SeedOutOfWindow(f"seed point {cfg.seed_point} outside the slice")
@@ -152,9 +162,8 @@ def track_volume(volume: Volume, cfg: TrackerConfig) -> tuple[MaskVolume, list[T
     for z in range(volume.meta.num_slices):
         if lost:
             break  # remaining slices stay empty
-        region = connected_region(
-            volume.voxels[z], window, seed_mask, cfg.connectivity, cfg.min_overlap_px
-        )
+        find = _whole_slice_region if z == 0 else connected_region
+        region = find(volume.voxels[z], window, seed_mask, cfg.connectivity, cfg.min_overlap_px)
         area = np.count_nonzero(region)
         if area == 0:
             events.append(TrackEvent(z=z, kind=EVENT_LOST, detail="no in-window component overlaps the track"))

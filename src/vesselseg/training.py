@@ -87,7 +87,16 @@ class AdamState:
 def adam_step(
     params: ParamStore, grads: dict[str, np.ndarray], state: AdamState, cfg: TrainConfig
 ) -> tuple[ParamStore, AdamState]:
-    """One bias-corrected Adam update in place; a bad gradient changes nothing."""
+    """One bias-corrected Adam update in place; a bad gradient changes nothing.
+
+    Every gradient is checked before any parameter moves. The update
+    theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps) runs as in-place ufuncs
+    over the two rows of one scratch buffer sized to the largest gradient,
+    in the order that expression evaluates, so it allocates no temporary
+    per tensor and is bit-identical to the expression. The buffer lives
+    for one call only: kept across steps, it would add its size to the
+    peak of the next backward.
+    """
     steps = [(n, grads[n]) for n in params.trainable_names() if grads.get(n) is not None]
     for name, g in steps:
         want = params.data(name).shape
@@ -99,14 +108,27 @@ def adam_step(
     b1, b2 = cfg.beta1, cfg.beta2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
+    scratch = None
     for name, g in steps:
+        if scratch is None or scratch.dtype != g.dtype:
+            scratch = np.empty((2, max(other.size for _, other in steps)), g.dtype)
         theta = params.data(name)
         m, v = state.m[name], state.v[name]
+        a, b = (row[: g.size].reshape(g.shape) for row in scratch)
+        np.multiply(g, 1.0 - b1, out=a)
         m *= b1
-        m += (1.0 - b1) * g
+        m += a
+        np.square(g, out=a)
+        a *= 1.0 - b2
         v *= b2
-        v += (1.0 - b2) * np.square(g)
-        theta -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+        v += a
+        np.divide(m, bc1, out=a)
+        a *= cfg.learning_rate
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += cfg.adam_eps
+        a /= b
+        theta -= a
     return params, state
 
 
@@ -231,9 +253,9 @@ def build_slice_dataset(
 
 
 def block_counts(masks: np.ndarray) -> np.ndarray:
-    """Positives per 2 x 2 block of (n, H, W) masks, (n, 1, H/2, W/2) float32."""
+    """Positives per 2 x 2 block of (n, H, W) masks, (n, H/2, W/2, 1) float32."""
     n, h, w = masks.shape
-    return masks.reshape(n, 1, h // 2, 2, w // 2, 2).sum(axis=(3, 5), dtype=np.float32)
+    return masks.reshape(n, h // 2, 2, w // 2, 2, 1).sum(axis=(2, 4), dtype=np.float32)
 
 
 # -- training and evaluation -----------------------------------------------------
@@ -293,7 +315,7 @@ def train(
             if len(log.step_losses) < 16:
                 log.step_losses.append(loss.item())
             # p >= 0.5 exactly where the logit is >= 0; each logit covers a 2 x 2 block
-            pred[idx] = (logits.data[:, 0] >= 0).repeat(2, axis=1).repeat(2, axis=2)
+            pred[idx] = (logits.data[..., 0] >= 0).repeat(2, axis=1).repeat(2, axis=2)
             del logits, loss, grads  # free this step's graph before the next forward
 
         val_iou = None

@@ -102,19 +102,18 @@ def _assert_shape_table(cfg, batch):
     x = np.random.default_rng(3).uniform(0, 1, (batch, hw, hw, 3)).astype(np.float32)
     ps = init_params(cfg, 0)
     with ad.no_grad():
-        t = ad.transpose(Tensor(x), (0, 3, 1, 2))
-        bridge_in, skips = encoder_forward(t, ps, training=False)
+        bridge_in, skips = encoder_forward(Tensor(x), ps, training=False)
         assert [s.data.shape for s in skips] == [
-            (batch, 64, hw // 2, hw // 2),
-            (batch, 64, hw // 4, hw // 4),
-            (batch, 128, hw // 8, hw // 8),
-            (batch, 256, hw // 16, hw // 16),
+            (batch, hw // 2, hw // 2, 64),
+            (batch, hw // 4, hw // 4, 64),
+            (batch, hw // 8, hw // 8, 128),
+            (batch, hw // 16, hw // 16, 256),
         ]
-        assert bridge_in.data.shape == (batch, 512, hw // 32, hw // 32)
+        assert bridge_in.data.shape == (batch, hw // 32, hw // 32, 512)
         bridged = bridge_forward(bridge_in, ps)
         assert bridged.data.shape == bridge_in.data.shape
         decoded = decoder_forward(bridged, skips, ps, training=False)
-        assert decoded.data.shape == (batch, 32, hw // 2, hw // 2)
+        assert decoded.data.shape == (batch, hw // 2, hw // 2, 32)
         out = model_forward(x, ps, mode="eval")
     assert out.data.shape == (batch, hw, hw, 1)
     assert ((out.data > 0) & (out.data < 1)).all()
@@ -157,7 +156,7 @@ def test_criterion_5_bridge_ablation():
     start = time.time()
     cfg = scaled_config(64, width_divisor=8, bridge_layers=0, d_model=32, num_heads=2)
     ps = init_params(cfg, 0)
-    x = Tensor(np.random.default_rng(5).normal(size=(2, cfg.encoder_widths[4], 2, 2)))
+    x = Tensor(np.random.default_rng(5).normal(size=(2, 2, 2, cfg.encoder_widths[4])))
     out = bridge_forward(x, ps)
     assert out is x or np.array_equal(out.data, x.data)
 

@@ -74,9 +74,9 @@ def _full_resolution_oracle(z, mask):
 def test_bcej_from_logits_equals_the_full_resolution_probability_loss(case):
     rng = np.random.default_rng(case)
     n, h, w = (1, 2, 3)[case % 3], 4 + case, 6
-    z = rng.normal(scale=3.0, size=(n, 1, h, w))
+    z = rng.normal(scale=3.0, size=(n, h, w, 1))
     mask = (rng.uniform(size=(n, 2 * h, 2 * w)) < (0.0, 0.3, 1.0)[case // 2]).astype(np.uint8)
-    want_loss, want_grad = _full_resolution_oracle(z, mask[:, None])
+    want_loss, want_grad = _full_resolution_oracle(z, mask[..., None])
     zt = Tensor(z, requires_grad=True)
     loss = ad.bcej_from_logits(zt, block_counts(mask))
     loss.backward()
@@ -120,6 +120,28 @@ def test_matmul_and_linear_grads():
     fd_check(lambda x, w, b: ad.tsum(ad.mul(ad.linear(x, w, b), m2)), (2, 5, 4), (3, 4), (3,))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gemm_writes_and_accumulates_in_place(dtype):
+    """_gemm's out is written through BLAS itself: f2py would silently copy
+    an operand or output that is not F-contiguous and leave out untouched."""
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(7, 5)).astype(dtype), rng.normal(size=(5, 6)).astype(dtype)
+    out = rng.normal(size=(7, 6)).astype(dtype)
+    before = out.copy()
+    assert ad._gemm(a, b, out, 1.0) is out
+    np.testing.assert_allclose(out, before + a @ b, rtol=1e-5)
+    for trans_a, trans_b in [(True, False), (False, True), (True, True)]:
+        x = a.T.copy() if trans_a else a
+        y = b.T.copy() if trans_b else b
+        np.testing.assert_allclose(ad._gemm(x, y, trans_a=trans_a, trans_b=trans_b), a @ b, rtol=1e-5)
+    strided = np.zeros((7, 10), dtype)[:, ::2]  # neither C- nor F-contiguous
+    strided[...] = a[:, :5] @ np.ones((5, 5), dtype)
+    np.testing.assert_allclose(ad._gemm(strided, b[:5]), strided @ b[:5], rtol=1e-5)
+    stack = np.zeros((3, 7, 6), dtype)
+    ad._gemm(np.stack([a] * 3), np.stack([b] * 3), stack)
+    np.testing.assert_allclose(stack, np.stack([a @ b] * 3), rtol=1e-5)
+
+
 def test_activation_grads():
     fd_check(lambda a: ad.tsum(ad.relu(ad.add(a, 0.31))), (50,))
     fd_check(lambda a: ad.tsum(ad.mul(ad.sigmoid(a), ad.sigmoid(a))), (50,))
@@ -145,57 +167,57 @@ def test_interleave_phases_values_and_grads(h, w):
             for r in range(h):
                 for s in range(w):
                     want[:, :, 2 * r + a, 2 * s + b] = z[:, 3 * k : 3 * k + 3, r + a, s + b]
-    np.testing.assert_array_equal(ad.interleave_phases(Tensor(z)).data, want)
+    np.testing.assert_array_equal(_nhwc(ad.interleave_phases)(Tensor(z)).data, want)
     m = Tensor(RNG.normal(size=want.shape))
-    fd_check(lambda z: ad.tsum(ad.mul(ad.interleave_phases(z), m)), z.shape)
+    fd_check(lambda z: ad.tsum(ad.mul(_nhwc(ad.interleave_phases)(z), m)), z.shape)
     with pytest.raises(ShapeMismatch):
-        ad.interleave_phases(Tensor(np.zeros((1, 6, 3, 3))))
+        ad.interleave_phases(Tensor(np.zeros((1, 3, 3, 6))))
 
 
 def test_conv2d_grads():
-    m = Tensor(RNG.normal(size=(2, 4, 6, 6)))
-    fd_check(lambda x, k, b: ad.tsum(ad.mul(ad.conv2d(x, k, b, 1, 1), m)), (2, 3, 6, 6), (4, 3, 3, 3), (4,))
-    fd_check(lambda x, k: ad.tsum(ad.mul(ad.conv2d(x, k, None, 2, 3), 1.5)), (2, 3, 8, 8), (4, 3, 7, 7))
+    m = Tensor(RNG.normal(size=(2, 6, 6, 4)))
+    fd_check(lambda x, k, b: ad.tsum(ad.mul(ad.conv2d(x, k, b, 1, 1), m)), (2, 6, 6, 3), (4, 3, 3, 3), (4,))
+    fd_check(lambda x, k: ad.tsum(ad.mul(ad.conv2d(x, k, None, 2, 3), 1.5)), (2, 8, 8, 3), (4, 3, 7, 7))
     m2 = Tensor(RNG.normal(size=(1, 4, 4, 4)))
-    fd_check(lambda x, k: ad.tsum(ad.mul(ad.conv2d(x, k, None, 2, 0), m2)), (1, 3, 8, 8), (4, 3, 1, 1))
+    fd_check(lambda x, k: ad.tsum(ad.mul(ad.conv2d(x, k, None, 2, 0), m2)), (1, 8, 8, 3), (4, 3, 1, 1))
 
 
 def test_pool_and_upsample_grads():
-    m = Tensor(RNG.normal(size=(2, 3, 4, 4)))
-    fd_check(lambda x: ad.tsum(ad.mul(ad.max_pool2d(x), m)), (2, 3, 8, 8))
-    m2 = Tensor(RNG.normal(size=(1, 2, 6, 8)))
-    fd_check(lambda a: ad.tsum(ad.mul(ad.upsample_nearest2x(a), m2)), (1, 2, 3, 4))
+    m = Tensor(RNG.normal(size=(2, 4, 4, 3)))
+    fd_check(lambda x: ad.tsum(ad.mul(ad.max_pool2d(x), m)), (2, 8, 8, 3))
+    m2 = Tensor(RNG.normal(size=(1, 6, 8, 2)))
+    fd_check(lambda a: ad.tsum(ad.mul(ad.upsample_nearest2x(a), m2)), (1, 3, 4, 2))
 
 
 def test_norm_grads():
     m = Tensor(RNG.normal(size=(3, 4, 5)))
     fd_check(lambda x, g, b: ad.tsum(ad.mul(ad.layer_norm(x, g, b), m)), (3, 4, 5), (5,), (5,))
 
-    mb = Tensor(RNG.normal(size=(2, 3, 4, 4)))
+    mb = Tensor(RNG.normal(size=(2, 4, 4, 3)))
 
     def bn_train(x, g, b):
         rm, rv = np.zeros(3), np.ones(3)
         return ad.tsum(ad.mul(ad.batch_norm(x, g, b, rm, rv), mb))
 
-    fd_check(bn_train, (2, 3, 4, 4), (3,), (3,))
+    fd_check(bn_train, (2, 4, 4, 3), (3,), (3,))
 
     def bn_eval(x, w, g, b):  # eval mode: the running statistics folded into the conv
         ps = _conv_bn_store(w, g, b, np.full(3, 0.1), np.full(3, 1.3))
         return ad.tsum(ad.mul(conv_bn(partial(ad.conv2d, x, padding=1), ps, "conv.weight", "bn", False), mb))
 
-    fd_check(bn_eval, (2, 2, 4, 4), (3, 2, 3, 3), (3,), (3,))
+    fd_check(bn_eval, (2, 4, 4, 2), (3, 2, 3, 3), (3,), (3,))
 
 
 def test_train_bn_chain_with_skip_fanout():
     """Stacked train-mode norms with a shared skip tap, the U-Net pattern."""
-    x = Tensor(RNG.normal(size=(2, 3, 8, 8)))
+    x = Tensor(RNG.normal(size=(2, 8, 8, 3)))
     w = Tensor(RNG.normal(size=(4, 3, 3, 3)) * 0.3, requires_grad=True)
     g1 = Tensor(np.ones(3), requires_grad=True)
     b1 = Tensor(np.zeros(3), requires_grad=True)
     g2 = Tensor(np.ones(4), requires_grad=True)
     b2 = Tensor(np.zeros(4), requires_grad=True)
     m1 = Tensor(RNG.normal(size=(2, 4, 4, 4)))
-    m2 = Tensor(RNG.normal(size=(2, 3, 8, 8)))
+    m2 = Tensor(RNG.normal(size=(2, 8, 8, 3)))
 
     def forward():
         s = ad.relu(ad.batch_norm(x, g1, b1, np.zeros(3), np.ones(3), ))
@@ -229,64 +251,64 @@ def test_fanout_accumulation_analytic():
 
 
 def test_conv_identity_kernel():
-    x = RNG.normal(size=(1, 1, 5, 5))
+    x = RNG.normal(size=(1, 5, 5, 1))
     out = ad.conv2d(Tensor(x), Tensor(np.ones((1, 1, 1, 1))), stride=1, padding=0)
     np.testing.assert_array_equal(out.data, x)
 
 
 def test_conv_ones_kernel_interior_sum():
     c = 0.7
-    x = Tensor(np.full((1, 1, 6, 6), c))
+    x = Tensor(np.full((1, 6, 6, 1), c))
     out = ad.conv2d(x, Tensor(np.ones((1, 1, 3, 3))), stride=1, padding=1)
-    assert out.data[0, 0, 2, 3] == pytest.approx(9 * c)
+    assert out.data[0, 2, 3, 0] == pytest.approx(9 * c)
 
 
 def test_conv_shape_formula():
-    x = Tensor(np.zeros((1, 3, 256, 256)))
+    x = Tensor(np.zeros((1, 256, 256, 3)))
     w = Tensor(np.zeros((64, 3, 7, 7)))
     out = ad.conv2d(x, w, stride=2, padding=3)
-    assert out.data.shape == (1, 64, 128, 128)  # (256 + 6 - 7)//2 + 1
+    assert out.data.shape == (1, 128, 128, 64)  # (256 + 6 - 7)//2 + 1
 
 
 def test_conv_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        ad.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
+        ad.conv2d(Tensor(np.zeros((1, 4, 4, 2))), Tensor(np.zeros((1, 3, 3, 3))))
 
 
 def test_max_pool_values():
     const = ad.max_pool2d(Tensor(np.full((1, 1, 8, 8), 2.5)))
     assert (const.data == 2.5).all()
 
-    x = np.zeros((1, 1, 4, 4))
+    x = np.zeros((1, 4, 4, 1))
     x[0, 0, 0, 0] = 9.0
     out = ad.max_pool2d(Tensor(x))
-    assert out.data.shape == (1, 1, 2, 2)
+    assert out.data.shape == (1, 2, 2, 1)
     assert out.data[0, 0, 0, 0] == 9.0
-    assert out.data[0, 0, 0, 1] == 0.0
     assert out.data[0, 0, 1, 0] == 0.0
-    assert out.data[0, 0, 1, 1] == 0.0
+    assert out.data[0, 1, 0, 0] == 0.0
+    assert out.data[0, 1, 1, 0] == 0.0
 
-    big = ad.max_pool2d(Tensor(np.zeros((1, 1, 128, 128))))
-    assert big.data.shape == (1, 1, 64, 64)
+    big = ad.max_pool2d(Tensor(np.zeros((1, 128, 128, 1))))
+    assert big.data.shape == (1, 64, 64, 1)
 
 
 def test_batch_norm_train_statistics():
-    x = Tensor(RNG.normal(loc=3.0, scale=2.0, size=(4, 3, 8, 8)))
+    x = Tensor(RNG.normal(loc=3.0, scale=2.0, size=(4, 8, 8, 3)))
     gamma = Tensor(np.array([1.0, 2.0, 0.5]))
     beta = Tensor(np.array([0.0, -1.0, 4.0]))
     out = ad.batch_norm(x, gamma, beta, np.zeros(3), np.ones(3), )
     for c in range(3):
-        vals = out.data[:, c]
+        vals = out.data[..., c]
         assert vals.mean() == pytest.approx(beta.data[c], abs=1e-5)
         assert vals.std() == pytest.approx(gamma.data[c], abs=1e-3)
 
 
 def test_batch_norm_running_update_momentum():
-    x = Tensor(RNG.normal(size=(2, 3, 4, 4)))
+    x = Tensor(RNG.normal(size=(2, 4, 4, 3)))
     rm, rv = np.zeros(3), np.ones(3)
     ad.batch_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), rm, rv, )
-    np.testing.assert_allclose(rm, 0.1 * x.data.mean(axis=(0, 2, 3)), rtol=1e-6)
-    np.testing.assert_allclose(rv, 0.9 + 0.1 * x.data.var(axis=(0, 2, 3)), rtol=1e-6)
+    np.testing.assert_allclose(rm, 0.1 * x.data.mean(axis=(0, 1, 2)), rtol=1e-6)
+    np.testing.assert_allclose(rv, 0.9 + 0.1 * x.data.var(axis=(0, 1, 2)), rtol=1e-6)
 
 
 def _conv_bn_store(w, gamma, beta, running_mean, running_var) -> ParamStore:
@@ -298,12 +320,12 @@ def _conv_bn_store(w, gamma, beta, running_mean, running_var) -> ParamStore:
 def test_batch_norm_eval_analytic():
     """Eval-mode batch norm, folded into the conv before it, against the
     unfolded (x - running_mean) / sqrt(running_var + eps) * gamma + beta."""
-    x = RNG.normal(size=(2, 3, 4, 4))
+    x = RNG.normal(size=(2, 4, 4, 3))
     gamma, beta = RNG.uniform(0.5, 1.5, 3), RNG.normal(size=3)
     mean, var = RNG.normal(size=3), RNG.uniform(0.5, 2.0, 3)
     ps = _conv_bn_store(Tensor(np.eye(3).reshape(3, 3, 1, 1)), Tensor(gamma), Tensor(beta), mean, var)
     out = conv_bn(partial(ad.conv2d, Tensor(x)), ps, "conv.weight", "bn", training=False)
-    shape = (1, 3, 1, 1)
+    shape = (1, 1, 1, 3)
     want = (x - mean.reshape(shape)) / np.sqrt(var.reshape(shape) + 1e-5) * gamma.reshape(shape) + beta.reshape(shape)
     np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-14)
 
@@ -400,15 +422,23 @@ def _assert_bytes_equal(got, want):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", [(1, 3, 5, 7), (2, 4, 9, 3), (3, 1, 7, 7), (4, 6, 3, 11)])
-def test_batch_norm_is_bit_identical_to_the_parent_op(dtype, shape):
+def test_batch_norm_matches_the_parent_op(dtype, shape):
+    """The NHWC op, transposed around, against the NCHW op as written before
+    the shared normalization core. Its statistics are ones-vector GEMMs
+    over the (N*H*W, C) view, which sum in another order than numpy's
+    reductions, so the results agree to a few units in the last place."""
     rng = np.random.default_rng(sum(shape))
     c = shape[1]
     x = rng.normal(1.5, 2.0, size=shape).astype(dtype)
     gamma, beta = rng.uniform(0.5, 1.5, c).astype(dtype), rng.normal(size=c).astype(dtype)
     g = rng.normal(size=shape).astype(dtype)
     running = rng.normal(size=c).astype(dtype), rng.uniform(0.5, 2.0, c).astype(dtype)
-    got = _norm_run(ad.batch_norm, x, gamma, beta, g, *running)
-    _assert_bytes_equal(got, _norm_run(_parent_batch_norm, x, gamma, beta, g, *running))
+    got = _norm_run(_nhwc(ad.batch_norm), x, gamma, beta, g, *running)
+    want = _norm_run(_parent_batch_norm, x, gamma, beta, g, *running)
+    tol = 64 * np.finfo(dtype).eps
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.dtype == b.dtype == dtype and a.shape == b.shape, i
+        assert np.abs(a - b).max() <= tol * max(1.0, np.abs(b).max()), i
     assert not np.array_equal(got[4], running[0]) and not np.array_equal(got[5], running[1])
 
 
@@ -468,13 +498,25 @@ def test_dtype_preserved():
     assert ad.bcej_from_logits(a, np.ones((2, 2))).data.dtype == np.float32
     assert ad.gelu(a).data.dtype == np.float32
     assert ad.sigmoid(a).data.dtype == np.float32
-    x = Tensor(np.ones((1, 2, 8, 8), dtype=np.float32))
+    x = Tensor(np.ones((1, 8, 8, 2), dtype=np.float32))
     assert ad.conv2d(x, w, stride=1, padding=1).data.dtype == np.float32
 
 
 # -- reference implementations -------------------------------------------------
 # An im2col convolution and an argmax max pool: independent oracles for the
-# shifted-GEMM convolution and the phase-split max pool.
+# shifted-GEMM convolution and the phase-split max pool. They are written
+# for NCHW maps; _nhwc runs an op on the same maps transposed around it.
+
+
+def _nhwc(op):
+    """op, which takes and returns NHWC maps, called on NCHW maps: the
+    first argument is transposed in and the result back out, both as
+    graph ops, so gradients come back NCHW too."""
+
+    def run(x, *rest):
+        return ad.transpose(op(ad.transpose(x, (0, 2, 3, 1)), *rest), (0, 3, 1, 2))
+
+    return run
 
 
 def _im2col_conv2d(x, weight, bias=None, stride=1, padding=0):
@@ -566,7 +608,7 @@ def test_conv2d_matches_im2col_oracle(kernel, stride, padding):
         ]
         for dtype in (np.float64, np.float32):
             typed = [None if a is None else a.astype(dtype) for a in arrays]
-            got = _value_and_grads(ad.conv2d, typed, 7, stride, padding)
+            got = _value_and_grads(_nhwc(ad.conv2d), typed, 7, stride, padding)
             want = _value_and_grads(_im2col_conv2d, typed, 7, stride, padding)
             for g, o in zip(got, want):
                 assert g.shape == o.shape and g.dtype == o.dtype == dtype
@@ -615,7 +657,7 @@ def _closure_arrays(fns) -> list:
 
 
 def test_conv2d_tape_holds_no_column_matrix():
-    x = Tensor(RNG.normal(size=(2, 64, 32, 32)).astype(np.float32), requires_grad=True)
+    x = Tensor(RNG.normal(size=(2, 32, 32, 64)).astype(np.float32), requires_grad=True)
     w = Tensor(RNG.normal(size=(64, 64, 3, 3)).astype(np.float32), requires_grad=True)
     out = ad.conv2d(x, w, stride=1, padding=1)
     padded_input = 2 * 64 * 34 * 34 * 4
@@ -637,7 +679,7 @@ def test_max_pool_matches_argmax_oracle(make):
     rng = np.random.default_rng(5)
     x = make(rng)
     for dtype in (np.float64, np.float32):
-        got = _value_and_grads(ad.max_pool2d, [x.astype(dtype)], 3)
+        got = _value_and_grads(_nhwc(ad.max_pool2d), [x.astype(dtype)], 3)
         want = _value_and_grads(_argmax_max_pool2d, [x.astype(dtype)], 3)
         np.testing.assert_array_equal(got[0], want[0])
         assert got[1].dtype == want[1].dtype == dtype
@@ -740,7 +782,7 @@ def test_conv_and_batch_norm_vjps_keep_only_inputs_and_per_channel_state(c_in, s
         return out
 
     monkeypatch.setattr(ad, "_make", recording_make)
-    x, w, gamma, beta = param(2, c_in, 12, 12), param(c_out, c_in, 3, 3), param(c_out), param(c_out)
+    x, w, gamma, beta = param(2, 12, 12, c_in), param(c_out, c_in, 3, 3), param(c_out), param(c_out)
     ps = _conv_bn_store(w, gamma, beta, np.zeros(c_out, np.float32), np.ones(c_out, np.float32))
     # train mode is conv then batch_norm; eval mode folds the norm into the conv
     z = conv_bn(partial(ad.conv2d, x, stride=stride, padding=1), ps, "conv.weight", "bn", training)
@@ -779,14 +821,14 @@ def test_backward_seed_must_match_the_output_shape():
 
 
 def test_add_and_shape_moves_capture_no_tensor():
-    x = Tensor(RNG.normal(size=(2, 8, 3, 3)), requires_grad=True)
-    y = Tensor(RNG.normal(size=(8, 1, 1)), requires_grad=True)
+    x = Tensor(RNG.normal(size=(2, 3, 3, 8)), requires_grad=True)
+    y = Tensor(RNG.normal(size=(1, 1, 8)), requires_grad=True)
     outs = [
         ad.add(x, y),
         ad.add(x, 2.0),
         ad.reshape(x, (2, -1)),
-        ad.transpose(x, (0, 2, 3, 1)),
-        ad.slice_axis(x, 1, 2, 5),
+        ad.transpose(x, (0, 3, 1, 2)),
+        ad.slice_axis(x, 3, 2, 5),
         ad.interleave_phases(x),
     ]
     for out in outs:
@@ -803,7 +845,7 @@ def _residual_chain(dtype):
     def param(*shape):
         return Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
 
-    leaves = [param(2, 4, 6, 6), param(4, 4, 3, 3), param(4), param(4)]
+    leaves = [param(2, 6, 6, 4), param(4, 4, 3, 3), param(4), param(4)]
     x, w, gamma, beta = leaves
     running = [np.zeros(4, dtype), np.ones(4, dtype)]
     bn = ad.batch_norm(ad.conv2d(x, w, padding=1), gamma, beta, *running)

@@ -128,14 +128,14 @@ def test_soft_jaccard_approaches_hard_iou():
 def test_bcej_gradient_finite_and_matches_fd():
     """The training op's gradient in the logits is the derivative of bcej_loss
     on the nearest-upsampled sigmoid, by central differences."""
-    z = Tensor(RNG.normal(scale=2.0, size=(2, 1, 4, 5)), requires_grad=True)
+    z = Tensor(RNG.normal(scale=2.0, size=(2, 4, 5, 1)), requires_grad=True)
     mask = RNG.integers(0, 2, size=(2, 8, 10)).astype(np.uint8)
     ad.bcej_from_logits(z, block_counts(mask)).backward()
     assert np.isfinite(z.grad).all()
 
     def loss(logits):
         p = ad.upsample_nearest2x(ad.sigmoid(Tensor(logits))).data
-        return bcej_loss(p, mask[:, None])
+        return bcej_loss(p, mask[..., None])
 
     h = 1e-6
     for i in (0, 13, 39):

@@ -198,7 +198,7 @@ def test_residual_block_zero_branch_is_relu():
     ps.data(f"{prefix}.conv1.weight")[:] = 0.0
     ps.data(f"{prefix}.conv2.weight")[:] = 0.0
     c = cfg.encoder_widths[1]
-    x = Tensor(RNG.normal(size=(2, c, 8, 8)), requires_grad=True)
+    x = Tensor(RNG.normal(size=(2, 8, 8, c)), requires_grad=True)
     from vesselseg.model import residual_block
 
     out = residual_block(x, ps, prefix, stride=1, training=False)
@@ -212,34 +212,34 @@ def test_residual_block_stride_two_shape():
     cfg = small_cfg(hw=32)
     ps = init_params(cfg, 0)
     c_in, c_out = cfg.encoder_widths[1], cfg.encoder_widths[2]
-    x = Tensor(RNG.normal(size=(1, c_in, 16, 16)).astype(np.float32))
+    x = Tensor(RNG.normal(size=(1, 16, 16, c_in)).astype(np.float32))
     from vesselseg.model import residual_block
 
     with ad.no_grad():
         out = residual_block(x, ps, "encoder.layer2.block0", stride=2, training=False)
-    assert out.data.shape == (1, c_out, 8, 8)
+    assert out.data.shape == (1, 8, 8, c_out)
 
 
 def test_encoder_shape_trace_small():
     cfg = small_cfg(hw=64)
     ps = init_params(cfg, 0)
-    x = Tensor(RNG.uniform(size=(2, 3, 64, 64)).astype(np.float32))
+    x = Tensor(RNG.uniform(size=(2, 64, 64, 3)).astype(np.float32))
     with ad.no_grad():
         bridge_in, skips = encoder_forward(x, ps, training=False)
     w = cfg.encoder_widths
     assert [s.data.shape for s in skips] == [
-        (2, w[0], 32, 32),
-        (2, w[1], 16, 16),
-        (2, w[2], 8, 8),
-        (2, w[3], 4, 4),
+        (2, 32, 32, w[0]),
+        (2, 16, 16, w[1]),
+        (2, 8, 8, w[2]),
+        (2, 4, 4, w[3]),
     ]
-    assert bridge_in.data.shape == (2, w[4], 2, 2)
+    assert bridge_in.data.shape == (2, 2, 2, w[4])
 
 
 def test_bridge_identity_when_ablated():
     cfg = small_cfg(bridge_layers=0)
     ps = init_params(cfg, 0)
-    x = Tensor(RNG.normal(size=(1, cfg.encoder_widths[4], 2, 2)))
+    x = Tensor(RNG.normal(size=(1, 2, 2, cfg.encoder_widths[4])))
     out = bridge_forward(x, ps)
     assert out is x  # bit-equal by construction
 
@@ -247,7 +247,7 @@ def test_bridge_identity_when_ablated():
 def test_bridge_preserves_shape():
     cfg = small_cfg()
     ps = init_params(cfg, 0)
-    x = Tensor(RNG.normal(size=(2, cfg.encoder_widths[4], 2, 2)).astype(np.float32))
+    x = Tensor(RNG.normal(size=(2, 2, 2, cfg.encoder_widths[4])).astype(np.float32))
     with ad.no_grad():
         out = bridge_forward(x, ps)
     assert out.data.shape == x.data.shape
@@ -256,18 +256,18 @@ def test_bridge_preserves_shape():
 def test_decoder_channel_sequence():
     cfg = small_cfg(hw=64)
     ps = init_params(cfg, 0)
-    x = Tensor(RNG.uniform(size=(1, 3, 64, 64)).astype(np.float32))
+    x = Tensor(RNG.uniform(size=(1, 64, 64, 3)).astype(np.float32))
     with ad.no_grad():
         bridge_in, skips = encoder_forward(x, ps, training=False)
         y = bridge_in.data
         shapes = []
         for i, skip in enumerate(reversed(skips)):
-            y = np.concatenate([y.repeat(2, axis=2).repeat(2, axis=3), skip.data], axis=1)
+            y = np.concatenate([y.repeat(2, axis=1).repeat(2, axis=2), skip.data], axis=3)
             y = ad.conv2d(Tensor(y), ps[f"decoder.block{i}.conv.weight"], stride=1, padding=1).data
             shapes.append(y.shape)
         out = decoder_forward(bridge_in, skips, ps, training=False)
-    assert [s[1] for s in shapes] == list(cfg.decoder_widths)
-    assert out.data.shape == (1, cfg.decoder_widths[-1], 32, 32)
+    assert [s[3] for s in shapes] == list(cfg.decoder_widths)
+    assert out.data.shape == (1, 32, 32, cfg.decoder_widths[-1])
 
 
 # -- the folded eval norm and the sub-pixel decoder against the unfolded oracle --
@@ -275,8 +275,8 @@ def test_decoder_channel_sequence():
 
 def _concat_oracle(a: Tensor, b: Tensor) -> Tensor:
     """Channel concat as a graph node, as the decoder ran it before the sub-pixel conv."""
-    c = a.shape[1]
-    return ad._make(np.concatenate([a.data, b.data], axis=1), [(a, lambda g: g[:, :c]), (b, lambda g: g[:, c:])])
+    c = a.shape[3]
+    return ad._make(np.concatenate([a.data, b.data], axis=3), [(a, lambda g: g[..., :c]), (b, lambda g: g[..., c:])])
 
 
 def _upsample_concat_conv_oracle(y, skip, w, bias):
@@ -289,7 +289,7 @@ def _unfolded_conv_bn(conv, ps, weight, bn, training):
     gamma, beta, mean, var = (f"{bn}.{k}" for k in ("gamma", "beta", "running_mean", "running_var"))
     if training:
         return ad.batch_norm(y, ps[gamma], ps[beta], ps.data(mean), ps.data(var))
-    shape = (1, -1, 1, 1)
+    shape = (1, 1, 1, -1)
     xhat = ad.mul(ad.add(y, -ps.data(mean).reshape(shape)), 1.0 / np.sqrt(ps.data(var).reshape(shape) + 1e-5))
     return ad.add(ad.mul(xhat, ad.reshape(ps[gamma], shape)), ad.reshape(ps[beta], shape))
 
@@ -320,9 +320,9 @@ def test_decoder_forward_matches_the_upsample_concat_oracle(monkeypatch, dtype, 
     cfg = small_cfg(hw=64)
     rng = np.random.default_rng(11)
     w = cfg.encoder_widths
-    shapes = [(2, w[4], 2, 2)] + [(2, w[i], 32 >> i, 32 >> i) for i in range(4)]
+    shapes = [(2, 2, 2, w[4])] + [(2, 32 >> i, 32 >> i, w[i]) for i in range(4)]
     inputs = [rng.normal(size=s).astype(dtype) for s in shapes]
-    m = rng.normal(size=(2, cfg.decoder_widths[-1], 32, 32)).astype(dtype)
+    m = rng.normal(size=(2, 32, 32, cfg.decoder_widths[-1])).astype(dtype)
     results = []
     for unfolded in (False, True):
         ps = init_params(cfg, 0, dtype=dtype)
@@ -359,10 +359,10 @@ def test_eval_probabilities_match_the_unfolded_model(monkeypatch):
         got = model_forward(x, ps, mode="eval").data
 
         def head_after_upsample():
-            bridge_in, skips = encoder_forward(ad.transpose(Tensor(x), (0, 3, 1, 2)), ps, training=False)
+            bridge_in, skips = encoder_forward(Tensor(x), ps, training=False)
             decoded = decoder_forward(bridge_forward(bridge_in, ps), skips, ps, training=False)
             y = ad.conv2d(ad.upsample_nearest2x(decoded), ps["head.conv.weight"], ps["head.conv.bias"])
-            return ad.sigmoid(y).data.transpose(0, 2, 3, 1)
+            return ad.sigmoid(y).data
 
         # the head acts per pixel, so running it before the upsample changes no bit
         np.testing.assert_array_equal(got, head_after_upsample())
@@ -375,7 +375,7 @@ def test_eval_probabilities_match_the_unfolded_model(monkeypatch):
 
 def test_upsample_duplication():
     out = ad.upsample_nearest2x(Tensor(np.array([[[[3.5]]]])))
-    np.testing.assert_array_equal(out.data, [[[[3.5, 3.5], [3.5, 3.5]]]])
+    np.testing.assert_array_equal(out.data, np.full((1, 2, 2, 1), 3.5))
 
 
 def test_model_forward_shape_range_determinism():
@@ -397,8 +397,8 @@ def test_model_forward_is_the_upsampled_sigmoid_of_model_logits(mode):
     with ad.no_grad():
         probs = model_forward(x, ps.copy(), mode=mode).data
         logits = model_logits(x, ps.copy(), mode=mode)
-    assert logits.shape == (2, 1, 32, 32)
-    want = ad.transpose(ad.upsample_nearest2x(ad.sigmoid(logits)), (0, 2, 3, 1)).data
+    assert logits.shape == (2, 32, 32, 1)
+    want = ad.upsample_nearest2x(ad.sigmoid(logits)).data
     assert probs.dtype == want.dtype == np.float32
     assert probs.tobytes() == want.tobytes()
 
@@ -690,3 +690,34 @@ def test_checkpoint_rejects_bad_tensor_entries(tmp_path, capsys, edit):
     err = capsys.readouterr().err
     assert result.exit_code == 1
     assert "Traceback" not in err and "bad.ckpt" in err
+
+
+_EVAL_FORWARD_512 = """
+import time
+import numpy as np
+from vesselseg import autodiff as ad
+from vesselseg.model import ModelConfig, init_params, model_forward
+
+params = init_params(ModelConfig(), seed=0)
+x = np.random.default_rng(0).uniform(size=(4, 512, 512, 3)).astype(np.float32)
+times = []
+with ad.no_grad():
+    for _ in range(4):  # the first call warms up
+        start = time.perf_counter()
+        probs = model_forward(x, params, mode="eval").data
+        times.append(time.perf_counter() - start)
+if probs.shape != (4, 512, 512, 1) or not ((probs > 0) & (probs < 1)).all():
+    raise SystemExit(f"bad probabilities {probs.shape}")
+print(float(np.median(times[1:])))  # seconds per batch of four slices
+"""
+
+
+def test_full_width_512_eval_forward_runs_in_a_fresh_process():
+    """The paper-size eval forward on a batch of four 512^2 slices, as CI
+    times it: (4, 512, 512, 1) probabilities in (0, 1)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(vesselseg.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _EVAL_FORWARD_512], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert float(proc.stdout.split()[-1]) > 0

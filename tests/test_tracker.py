@@ -426,6 +426,29 @@ def test_track_labels_a_window_not_the_slice(monkeypatch):
     assert np.mean(areas) / (256 * 256) < 0.25
 
 
+def test_track_labels_slice_0_once(monkeypatch):
+    """Slice 0 is labelled whole, once: the one-pixel seed's box is too small
+    for a vessel wider than the margin, which would force a second pass."""
+    shapes = []
+    real_label = ndimage.label
+
+    def recording_label(image, structure=None):
+        shapes.append(image.shape)
+        return real_label(image, structure=structure)
+
+    spec = clean_spec(dims=(1, 256, 256), trunk_radius_px=36.0, branch_radius_px=12.0,
+                      entry_xy=(128.0, 128.0), bifurcation_z=0)
+    vol, _ = generate(spec)
+    cfg = TrackerConfig(t_lo=200, t_hi=500, seed_point=(128, 128))
+    monkeypatch.setattr(ndimage, "label", recording_label)
+    pred, events = track_volume(vol, cfg)
+    assert shapes == [(256, 256)]
+    assert pred.voxels[0].sum() > (2 * WINDOW_MARGIN_PX + 1) ** 2 and events == []
+    seed = np.zeros((256, 256), dtype=bool)
+    seed[128, 128] = True
+    np.testing.assert_array_equal(pred.voxels[0], _full_slice_region(vol.voxels[0], (200, 500), seed))
+
+
 @pytest.mark.parametrize("seed_point", [(16.0, 16), (16,), (16, 16, 0), (True, 16), "16,16", None])
 def test_tracker_config_rejects_seed_point_not_two_ints(seed_point):
     with pytest.raises(SpecInvalid):

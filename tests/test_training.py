@@ -334,3 +334,57 @@ def test_full_width_512_train_step_peaks_under_900_mib():
     assert proc.returncode == 0, proc.stderr
     peak_mib = float(proc.stdout.split()[-1])
     assert peak_mib < 900, f"peak RSS {peak_mib:.0f} MiB"
+
+
+def _adam_reference(theta, m, v, g, t, cfg):
+    """One Adam update written as the expression adam_step evaluates in place."""
+    b1, b2 = cfg.beta1, cfg.beta2
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * np.square(g)
+    theta -= cfg.learning_rate * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + cfg.adam_eps)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_step_in_scratch_is_bit_identical_to_the_expression(dtype):
+    rng = np.random.default_rng(8)
+    shapes = {"a": (3, 4), "b": (17,), "c": (2, 3, 3, 3), "d": ()}
+    store = ParamStore(tiny_config(), {n: Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+                                       for n, s in shapes.items()})
+    want = {n: store.data(n).copy() for n in shapes}
+    moments = {n: (np.zeros(s, dtype), np.zeros(s, dtype)) for n, s in shapes.items()}
+    state = AdamState.for_params(store)
+    cfg = TrainConfig(learning_rate=3e-3)
+    for t in range(1, 6):
+        grads = {n: rng.normal(size=s).astype(dtype) for n, s in shapes.items()}
+        if t == 3:
+            del grads["c"]  # a parameter without a gradient keeps its moments
+        adam_step(store, grads, state, cfg)
+        for n, g in grads.items():
+            _adam_reference(want[n], *moments[n], g, t, cfg)
+        for n in shapes:
+            assert store.data(n).tobytes() == want[n].tobytes(), (t, n)
+            assert state.m[n].tobytes() == moments[n][0].tobytes()
+
+
+def test_train_step_and_eval_forward_make_no_numpy_gemm(monkeypatch):
+    """Every matrix product runs through scipy's BLAS (autodiff._gemm): numpy
+    and scipy each bundle an OpenBLAS with its own thread pool."""
+
+    def numpy_gemm(*args, **kwargs):
+        raise AssertionError("numpy GEMM call")
+
+    for name in ("matmul", "dot", "tensordot", "einsum", "inner", "vdot"):
+        monkeypatch.setattr(np, name, numpy_gemm)
+    params = init_params(tiny_config(), seed=2)
+    state = AdamState.for_params(params)
+    rng = np.random.default_rng(2)
+    x = rng.uniform(size=(2, 32, 32, 3)).astype(np.float32)
+    k = training_mod.block_counts((rng.uniform(size=(2, 32, 32)) < 0.3).astype(np.uint8))
+    loss = vesselseg.autodiff.bcej_from_logits(training_mod.model_logits(x, params, mode="train"), k)
+    loss.backward()
+    adam_step(params, {n: params[n].grad for n in params.trainable_names()}, state, TrainConfig())
+    with vesselseg.autodiff.no_grad():
+        probs = training_mod.model_forward(x, params, mode="eval").data
+    assert probs.shape == (2, 32, 32, 1) and np.isfinite(loss.item())
