@@ -7,11 +7,8 @@ training metadata, and for each tensor its dtype, shape and byte offset
 relative to the start of the data section. Offsets follow the canonical
 manifest order, so save -> load is bit-identical. Saving replaces the file
 atomically. Loading rejects byte ranges that are negative, out of bounds
-or overlapping.
-
-A checkpoint holding only encoder.* tensors may be loaded with
-encoder_only=True, in which case every other tensor is freshly
-initialized; this is the hook for pretrained-encoder weights.
+or overlapping. A checkpoint always holds every tensor of the config's
+manifest.
 """
 
 from __future__ import annotations
@@ -26,7 +23,8 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import BadMagic, ManifestMismatch, MissingFile, VersionMismatch
-from .model import ModelConfig, ParamStore, init_params, param_manifest  # perfbench patches init_params here
+from .model import ModelConfig, ParamStore, param_manifest
+from .model import init_params  # noqa: F401  perfbench patches it here
 
 MAGIC = b"TONC"
 VERSION = 1
@@ -41,8 +39,8 @@ class Checkpoint:
     meta: dict = field(default_factory=dict)
 
 
-def save_checkpoint(ckpt: Checkpoint, path: str | Path, names: list[str] | None = None) -> None:
-    """Serialize the checkpoint; names limits the tensor subset (e.g. encoder.*).
+def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
+    """Serialize the checkpoint's config, metadata and every tensor.
 
     The bytes go to a temporary file in the same directory, which is fsynced
     and then renamed over path, so a writer that fails part-way leaves any
@@ -50,10 +48,9 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path, names: list[str] | None 
     """
     path = Path(path)
     store = ckpt.params
-    selected = names if names is not None else store.names()
     tensors = {}
     offset = 0
-    for name in selected:
+    for name in store.names():
         shape = store.data(name).shape
         tensors[name] = {"dtype": "f32", "shape": list(shape), "offset": offset}
         offset += 4 * int(np.prod(shape))
@@ -68,7 +65,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path, names: list[str] | None 
             fh.write(struct.pack("<I", VERSION))
             fh.write(struct.pack("<Q", len(header)))
             fh.write(header)
-            for name in selected:
+            for name in store.names():
                 fh.write(np.ascontiguousarray(store.data(name), dtype="<f4"))
             fh.flush()
             os.fsync(fh.fileno())
@@ -78,7 +75,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path, names: list[str] | None 
         raise
 
 
-def load_checkpoint(path: str | Path, encoder_only: bool = False, init_seed: int = 0) -> Checkpoint:
+def load_checkpoint(path: str | Path) -> Checkpoint:
     """Restore a checkpoint, validating magic, version and the manifest.
 
     The tensors are writable views into one buffer that holds the data section.
@@ -112,19 +109,14 @@ def load_checkpoint(path: str | Path, encoder_only: bool = False, init_seed: int
     got = set(tensor_specs)
     expected = set(manifest)
     if got != expected:
-        encoder_names = {n for n in expected if n.startswith("encoder.")}
-        if not (encoder_only and got == encoder_names):
-            raise ManifestMismatch(
-                f"{path}: tensor names do not match the config manifest "
-                f"(missing {sorted(expected - got)[:4]}, extra {sorted(got - expected)[:4]}; "
-                f"encoder_only={encoder_only})"
-            )
+        raise ManifestMismatch(
+            f"{path}: tensor names do not match the config manifest "
+            f"(missing {sorted(expected - got)[:4]}, extra {sorted(got - expected)[:4]})"
+        )
 
-    store = init_params(config, init_seed) if got != expected else ParamStore(config, {})
+    store = ParamStore(config, {})
     spans = []  # (start, stop, name) byte range of each tensor in the data section
     for name, entry in manifest.items():
-        if name not in tensor_specs:
-            continue  # an encoder-only file: init_params filled it
         spec = tensor_specs[name]
         if not isinstance(spec, dict) or spec.get("dtype") != "f32":
             raise ManifestMismatch(f"{path}: tensor {name} is not an f32 entry: {spec!r}")

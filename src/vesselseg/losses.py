@@ -131,12 +131,6 @@ class MetricsReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsReport":
-        raw = json.loads(text)
-        raw["per_patient"] = [PatientResult(**p) for p in raw["per_patient"]]
-        return cls(**raw)
-
 
 def config_digest(config_dict: dict) -> str:
     """Stable sha256 of a JSON-serializable configuration."""

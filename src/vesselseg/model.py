@@ -104,7 +104,6 @@ def scaled_config(
     bridge_layers: int = 4,
     d_model: int | None = None,
     num_heads: int = 8,
-    mlp_ratio: int = 2,
 ) -> ModelConfig:
     """Shrink every width by a common divisor (for desk-scale runs)."""
     return ModelConfig(
@@ -113,7 +112,6 @@ def scaled_config(
         bridge_layers=bridge_layers,
         d_model=d_model if d_model is not None else max(num_heads, 512 // width_divisor),
         num_heads=num_heads,
-        mlp_ratio=mlp_ratio,
         decoder_widths=tuple(max(1, w // width_divisor) for w in BASE_DECODER_WIDTHS),
     )
 
@@ -505,13 +503,7 @@ def predict_probabilities(
     return probs
 
 
-def segment_volume(
-    ps: ParamStore,
-    volume: Volume,
-    window: HuWindow,
-    threshold: float = 0.5,
-    batch_size: int = 8,
-) -> MaskVolume:
+def segment_volume(ps: ParamStore, volume: Volume, window: HuWindow, threshold: float = 0.5) -> MaskVolume:
     """Run every slice through the net in eval mode and binarize at threshold,
     a number in [0, 1]."""
     if not 0.0 <= threshold <= 1.0:
@@ -522,5 +514,5 @@ def segment_volume(
             f"volume slices are {volume.meta.height}x{volume.meta.width}, "
             f"model wants {cfg.input_hw}x{cfg.input_hw}"
         )
-    probs = predict_probabilities(ps, volume.voxels, window, batch_size)
+    probs = predict_probabilities(ps, volume.voxels, window)
     return MaskVolume(meta=volume.meta, voxels=binarize(probs, threshold))

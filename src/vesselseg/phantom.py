@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import OutOfRange, SpecInvalid
-from .volume_io import MaskVolume, Volume, VolumeMeta, make_output_dir
+from .errors import MissingFile, OutOfRange, SpecInvalid
+from .volume_io import MaskVolume, Volume, VolumeMeta, is_finite_number, make_output_dir
 
 MASK_TO_BIFURCATION = "to_bifurcation"
 MASK_TO_END = "to_end"
@@ -75,6 +75,8 @@ class PhantomSpec:
         nz, ny, nx = self.dims
         if nz < 1 or ny < 1 or nx < 1:
             raise SpecInvalid(f"dims must be positive, got {self.dims}")
+        if not (type(self.seed) is int and self.seed >= 0):
+            raise SpecInvalid(f"seed must be an int >= 0, got {self.seed!r}")
         if not 0 <= self.bifurcation_z < nz:
             raise SpecInvalid(f"bifurcation_z {self.bifurcation_z} outside [0, {nz})")
         if self.trunk_radius_px < 0 or self.branch_radius_px < 0:
@@ -87,6 +89,8 @@ class PhantomSpec:
             z0, z1 = decoy.contact_z_range
             if not (0 <= z0 <= z1 <= nz):
                 raise SpecInvalid(f"bone decoy z range {decoy.contact_z_range} outside [0, {nz})")
+            if not all(map(is_finite_number, (*decoy.center_xy, decoy.radius_px))):
+                raise SpecInvalid(f"bone decoy center {decoy.center_xy} and radius {decoy.radius_px} must be finite")
             if decoy.radius_px <= 0:
                 raise SpecInvalid("bone decoy radius must be > 0")
         if self.mask_extent not in (MASK_TO_BIFURCATION, MASK_TO_END):
@@ -100,20 +104,24 @@ class PhantomSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "PhantomSpec":
-        raw = json.loads(text)
-        decoys = [
-            BoneDecoy(
-                center_xy=tuple(d["center_xy"]),
-                radius_px=float(d["radius_px"]),
-                contact_z_range=tuple(d["contact_z_range"]),
-            )
-            for d in raw.pop("bone_decoys", [])
-        ]
-        raw["dims"] = tuple(raw["dims"])
-        raw["entry_xy"] = tuple(raw["entry_xy"]) if raw.get("entry_xy") else None
-        if raw.get("occlusion_z_range"):
-            raw["occlusion_z_range"] = tuple(raw["occlusion_z_range"])
-        return cls(bone_decoys=decoys, **raw)
+        """The spec from its to_json text; SpecInvalid if the text is not one."""
+        try:
+            raw = json.loads(text)
+            decoys = [
+                BoneDecoy(
+                    center_xy=tuple(d["center_xy"]),
+                    radius_px=float(d["radius_px"]),
+                    contact_z_range=tuple(d["contact_z_range"]),
+                )
+                for d in raw.pop("bone_decoys", [])
+            ]
+            raw["dims"] = tuple(raw["dims"])
+            raw["entry_xy"] = tuple(raw["entry_xy"]) if raw.get("entry_xy") else None
+            if raw.get("occlusion_z_range"):
+                raw["occlusion_z_range"] = tuple(raw["occlusion_z_range"])
+            return cls(bone_decoys=decoys, **raw)
+        except (ValueError, KeyError, TypeError) as exc:  # json's decode errors are ValueErrors
+            raise SpecInvalid(f"not a phantom spec: {exc!r}") from exc
 
 
 def centerline_at(spec: PhantomSpec, z: int) -> list[tuple[float, float, float]]:
@@ -192,4 +200,10 @@ def save_spec(spec: PhantomSpec, directory: str | Path) -> None:
 
 
 def load_spec(directory: str | Path) -> PhantomSpec:
-    return PhantomSpec.from_json((Path(directory) / "phantom.json").read_text(encoding="utf-8"))
+    path = Path(directory) / "phantom.json"
+    if not path.is_file():
+        raise MissingFile(f"no phantom.json in {directory}")
+    try:
+        return PhantomSpec.from_json(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, SpecInvalid) as exc:
+        raise SpecInvalid(f"{path}: {exc}") from exc

@@ -2,7 +2,11 @@
 
 The tracker thresholds each slice into an intensity window, keeps the
 connected components that overlap the previous slice's region, and walks
-down the stack. Two deliberate limitations define its behaviour:
+down the stack. Its rules are fixed: components are 8-connected, one
+pixel of the previous region is enough for a component to survive, and
+an area more than MAX_AREA_GROWTH times the previous slice's is reported
+as a suspected bone merge. Two deliberate limitations define its
+behaviour:
 
   * once a slice produces an empty region the track is lost for good
     (no re-acquisition), so an occluded vessel segment kills everything
@@ -15,7 +19,6 @@ down the stack. Two deliberate limitations define its behaviour:
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -29,11 +32,10 @@ EVENT_BONE_MERGE = "bone_merge_suspect"
 
 # Pixels added on each side of the seed's bounding box before labelling.
 WINDOW_MARGIN_PX = 8
+# A region more than this many times the previous slice's area is a suspected bone merge.
+MAX_AREA_GROWTH = 4.0
 
-_STRUCTURES = {
-    4: np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool),
-    8: np.ones((3, 3), dtype=bool),
-}
+_EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -41,9 +43,6 @@ class TrackerConfig:
     t_lo: float
     t_hi: float
     seed_point: tuple[int, int]  # (x, y) on slice 0
-    min_overlap_px: int = 1
-    max_area_growth: float = 4.0
-    connectivity: int = 8
 
     def __post_init__(self):
         if not (_is_real(self.t_lo) and _is_real(self.t_hi) and self.t_lo < self.t_hi):
@@ -51,13 +50,6 @@ class TrackerConfig:
         seed = self.seed_point
         if not (isinstance(seed, (tuple, list)) and len(seed) == 2 and all(map(_is_int, seed))):
             raise SpecInvalid(f"seed_point must be two ints (x, y), got {seed!r}")
-        if not (_is_int(self.connectivity) and self.connectivity in _STRUCTURES):
-            raise SpecInvalid(f"connectivity must be 4 or 8, got {self.connectivity!r}")
-        if not (_is_int(self.min_overlap_px) and self.min_overlap_px >= 1):
-            raise SpecInvalid(f"min_overlap_px must be an int >= 1, got {self.min_overlap_px!r}")
-        growth = self.max_area_growth
-        if not (_is_real(growth) and math.isfinite(growth) and growth > 0):
-            raise SpecInvalid(f"max_area_growth must be finite and > 0, got {growth!r}")
 
 
 def _is_int(value) -> bool:
@@ -75,29 +67,20 @@ class TrackEvent:
     detail: str
 
 
-def connected_region(
-    hu_slice: np.ndarray,
-    window: tuple[float, float],
-    seed_mask: np.ndarray,
-    connectivity: int = 8,
-    min_overlap_px: int = 1,
-) -> np.ndarray:
-    """In-window connected components overlapping the seed, as a bool map.
+def connected_region(hu_slice: np.ndarray, window: tuple[float, float], seed_mask: np.ndarray) -> np.ndarray:
+    """In-window 8-connected components overlapping the seed, as a bool map.
 
-    A component survives iff at least min_overlap_px of its pixels are set
-    in seed_mask; the union of survivors is returned (possibly empty).
+    A component survives iff at least one of its pixels is set in
+    seed_mask; the union of survivors is returned (possibly empty).
 
     Only the seed's bounding box grown by WINDOW_MARGIN_PX is labelled. A
     component of that box which holds a seed pixel and touches none of its
     inner edges (box edges that are not slice edges) has all its
-    neighbours inside the box, so it is a whole component of the slice and
-    its overlap count is exact; components without a seed pixel never
-    survive. If a component holding a seed pixel touches an inner edge, the
-    whole slice is labelled once more, so the result always equals
-    labelling the whole slice.
+    neighbours inside the box, so it is a whole component of the slice;
+    components without a seed pixel never survive. If a component holding
+    a seed pixel touches an inner edge, the whole slice is labelled once
+    more, so the result always equals labelling the whole slice.
     """
-    if min_overlap_px < 1:
-        raise SpecInvalid(f"min_overlap_px must be >= 1, got {min_overlap_px!r}")
     seed = np.asarray(seed_mask, dtype=bool)
     out = np.zeros(hu_slice.shape, dtype=bool)
     rows = np.flatnonzero(seed.any(axis=1))
@@ -108,28 +91,28 @@ def connected_region(
     y0, y1 = max(rows[0] - WINDOW_MARGIN_PX, 0), min(rows[-1] + 1 + WINDOW_MARGIN_PX, h)
     x0, x1 = max(cols[0] - WINDOW_MARGIN_PX, 0), min(cols[-1] + 1 + WINDOW_MARGIN_PX, w)
     box = (slice(y0, y1), slice(x0, x1))
-    labels, counts = _label_overlaps(hu_slice[box], window, seed[box], connectivity)
+    labels, counts = _label_overlaps(hu_slice[box], window, seed[box])
     edges = (labels[0], y0 > 0), (labels[-1], y1 < h), (labels[:, 0], x0 > 0), (labels[:, -1], x1 < w)
     if any(inner and counts[edge].any() for edge, inner in edges):  # a seed-holding component leaves the box
-        return _whole_slice_region(hu_slice, window, seed, connectivity, min_overlap_px)
-    out[box] = (counts >= min_overlap_px)[labels]
+        return _whole_slice_region(hu_slice, window, seed)
+    out[box] = (counts > 0)[labels]
     return out
 
 
-def _whole_slice_region(hu_slice, window, seed, connectivity, min_overlap_px) -> np.ndarray:
+def _whole_slice_region(hu_slice, window, seed) -> np.ndarray:
     """connected_region by labelling the whole slice at once."""
-    labels, counts = _label_overlaps(hu_slice, window, seed, connectivity)
-    return (counts >= min_overlap_px)[labels]
+    labels, counts = _label_overlaps(hu_slice, window, seed)
+    return (counts > 0)[labels]
 
 
-def _label_overlaps(hu, window, seed, connectivity):
+def _label_overlaps(hu, window, seed):
     """Labels of hu's in-window components, and each label's seed-pixel count.
 
     The count of label 0 (background) is set to 0, so it is never kept.
     """
     t_lo, t_hi = window
     in_window = (hu >= t_lo) & (hu <= t_hi)
-    labels, n_labels = ndimage.label(in_window, structure=_STRUCTURES[connectivity])
+    labels, n_labels = ndimage.label(in_window, structure=_EIGHT_CONNECTED)
     counts = np.bincount(labels[seed], minlength=n_labels + 1)
     counts[0] = 0
     return labels, counts
@@ -163,13 +146,13 @@ def track_volume(volume: Volume, cfg: TrackerConfig) -> tuple[MaskVolume, list[T
         if lost:
             break  # remaining slices stay empty
         find = _whole_slice_region if z == 0 else connected_region
-        region = find(volume.voxels[z], window, seed_mask, cfg.connectivity, cfg.min_overlap_px)
+        region = find(volume.voxels[z], window, seed_mask)
         area = np.count_nonzero(region)
         if area == 0:
             events.append(TrackEvent(z=z, kind=EVENT_LOST, detail="no in-window component overlaps the track"))
             lost = True
             continue
-        if prev_area is not None and area > cfg.max_area_growth * prev_area:
+        if prev_area is not None and area > MAX_AREA_GROWTH * prev_area:
             events.append(
                 TrackEvent(
                     z=z,

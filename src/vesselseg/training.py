@@ -149,10 +149,6 @@ class FoldPlan:
     def to_json(self) -> str:
         return json.dumps({"folds": [asdict(f) for f in self.folds]}, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "FoldPlan":
-        return cls(folds=[Fold(**f) for f in json.loads(text)["folds"]])
-
 
 def make_folds(
     patient_ids: Sequence[str],
@@ -352,13 +348,13 @@ def train(
     return Checkpoint(config=model_cfg, params=best_params, meta=meta), log
 
 
-def evaluate(ckpt: Checkpoint, patients: Sequence[Patient], threshold: float = 0.5) -> MetricsReport:
+def evaluate(ckpt: Checkpoint, patients: Sequence[Patient]) -> MetricsReport:
     """Segment each patient volume, with the HU window the checkpoint was
     trained with, and score 3-D Dice/IoU against truth."""
     window = checkpoint_window(ckpt)
     results = []
     for vol, mask in patients:
-        pred = segment_volume(ckpt.params, vol, window, threshold=threshold)
+        pred = segment_volume(ckpt.params, vol, window)
         results.append(
             PatientResult(
                 patient_id=vol.meta.patient_id,

