@@ -322,6 +322,9 @@ def _fortran(m: np.ndarray, trans: bool) -> tuple[np.ndarray, bool]:
     return np.ascontiguousarray(m).T, trans
 
 
+_GEMMS: dict[np.dtype, object] = {}  # scipy's BLAS gemm per dtype, looked up on first use
+
+
 def _gemm(a, b, out=None, beta: float = 0.0, trans_a: bool = False, trans_b: bool = False) -> np.ndarray:
     """out = op(a) @ op(b) + beta * out in BLAS, op(m) = m with its last two axes swapped where flagged.
 
@@ -335,7 +338,9 @@ def _gemm(a, b, out=None, beta: float = 0.0, trans_a: bool = False, trans_b: boo
     if a.dtype != b.dtype:
         dtype = np.result_type(a.dtype, b.dtype)
         a, b = a.astype(dtype), b.astype(dtype)
-    gemm = get_blas_funcs("gemm", dtype=a.dtype)
+    gemm = _GEMMS.get(a.dtype)
+    if gemm is None:
+        gemm = _GEMMS[a.dtype] = get_blas_funcs("gemm", dtype=a.dtype)
     if a.ndim == 2:
         fa, ta = _fortran(a, trans_a)
         fb, tb = _fortran(b, trans_b)

@@ -487,14 +487,28 @@ def model_input(hu_slices: np.ndarray, window: HuWindow) -> np.ndarray:
     return to_model_input(norm.reshape(n * h, w)).reshape(n, h, w, 3)
 
 
+# Pixels per default eval batch (32 slices at 64²). Twice this, 64 slices at
+# 64², raised a train-and-evaluate process's peak RSS by about 10%.
+EVAL_BATCH_PIXELS = 1 << 17
+
+
 def predict_probabilities(
-    ps: ParamStore, hu_slices: np.ndarray, window: HuWindow, batch_size: int = 8
+    ps: ParamStore, hu_slices: np.ndarray, window: HuWindow, batch_size: int | None = None
 ) -> np.ndarray:
     """Eval-mode (n, H, W) float32 probabilities of a (n, H, W) HU stack.
 
     Runs model_input and model_forward under no_grad, batch_size slices at
     a time, and holds the whole float32 stack (4 B per voxel) it returns.
+    batch_size None means max(8, EVAL_BATCH_PIXELS // (H * W)): 128 slices
+    at 32², 32 at 64² and 8 from 128² up. Small slices share a forward, so
+    its fixed per-op cost is paid fewer times. A batch's eval temporaries
+    grow with its pixel count: about 0.3 MiB per 64² slice for the study
+    model (10 MiB per 32-slice batch) and 64 MiB per 512² slice at the
+    paper's widths (traced numpy peak), so pass a smaller batch_size where
+    memory is short.
     """
+    if batch_size is None:
+        batch_size = max(8, EVAL_BATCH_PIXELS // (ps.config.input_hw * ps.config.input_hw))
     probs = np.empty(np.shape(hu_slices), dtype=np.float32)
     with ad.no_grad():
         for start in range(0, len(probs), batch_size):

@@ -65,22 +65,34 @@ class PhantomSpec:
     patient_id: str = "phantom"
 
     def __post_init__(self):
+        self._check_dims()  # the defaults below are read off dims
         if self.entry_xy is None:
             self.entry_xy = (self.dims[2] / 2.0, self.dims[1] / 2.0)
         if self.bifurcation_z is None:
             self.bifurcation_z = self.dims[0] // 2
         self.validate()
 
+    def _check_dims(self) -> None:
+        dims = self.dims
+        if not (isinstance(dims, (tuple, list)) and len(dims) == 3 and all(type(n) is int and n >= 1 for n in dims)):
+            raise SpecInvalid(f"dims must be three ints >= 1, got {dims!r}")
+
     def validate(self) -> None:
-        nz, ny, nx = self.dims
-        if nz < 1 or ny < 1 or nx < 1:
-            raise SpecInvalid(f"dims must be positive, got {self.dims}")
+        self._check_dims()
+        nz = self.dims[0]
         if not (type(self.seed) is int and self.seed >= 0):
             raise SpecInvalid(f"seed must be an int >= 0, got {self.seed!r}")
         if not 0 <= self.bifurcation_z < nz:
             raise SpecInvalid(f"bifurcation_z {self.bifurcation_z} outside [0, {nz})")
-        if self.trunk_radius_px < 0 or self.branch_radius_px < 0:
-            raise SpecInvalid("radii must be >= 0")
+        for name in ("trunk_radius_px", "branch_radius_px", "noise_sigma"):
+            value = getattr(self, name)
+            if not (is_finite_number(value) and value >= 0):
+                raise SpecInvalid(f"{name} must be a finite number >= 0, got {value!r}")
+        if not is_finite_number(self.branch_half_angle_deg):
+            raise SpecInvalid(f"branch_half_angle_deg must be finite, got {self.branch_half_angle_deg!r}")
+        xy = self.entry_xy
+        if not (isinstance(xy, (tuple, list)) and len(xy) == 2 and all(map(is_finite_number, xy))):
+            raise SpecInvalid(f"entry_xy must be two finite numbers, got {xy!r}")
         if self.occlusion_z_range is not None:
             z0, z1 = self.occlusion_z_range
             if not (0 <= z0 <= z1 <= nz):
@@ -98,6 +110,8 @@ class PhantomSpec:
         missing = set(DEFAULT_INTENSITIES) - set(self.intensities)
         if missing:
             raise SpecInvalid(f"intensities missing keys {sorted(missing)}")
+        if not all(is_finite_number(self.intensities[k]) for k in DEFAULT_INTENSITIES):
+            raise SpecInvalid(f"intensities must be finite numbers, got {self.intensities!r}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)

@@ -593,6 +593,50 @@ def test_predict_probabilities_matches_batched_forward():
     assert probs.tobytes() == oracle.tobytes()
 
 
+STUDY_CFG = scaled_config(64, width_divisor=4, bridge_layers=4, d_model=128, num_heads=8)
+
+
+@pytest.mark.parametrize("hw, batch", [(32, 128), (64, 32), (128, 8), (512, 8)])
+def test_predict_probabilities_batches_by_pixels(monkeypatch, hw, batch):
+    """The default batch is max(8, 2^17 // (H * W)) slices; with model_forward
+    stubbed out the 512^2 case costs only its input windowing."""
+    sizes = []
+
+    def counting_forward(x, ps, mode):
+        sizes.append(len(x))
+        return Tensor(np.zeros(x.shape[:3] + (1,), np.float32))
+
+    monkeypatch.setattr(model_module, "model_forward", counting_forward)
+    n = 2 * batch + 1
+    hu = np.zeros((n, hw, hw), np.int16)
+    probs = predict_probabilities(ParamStore(scaled_config(hw), {}), hu, HuWindow())
+    assert sizes == [batch, batch, 1]  # ceil(n / batch) forwards
+    assert probs.shape == (n, hw, hw)
+
+
+@pytest.mark.parametrize("cfg", [STUDY_CFG, scaled_config(64)], ids=["study", "paper_width"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_default_batch_probabilities_equal_batch_8_bytes(cfg, seed):
+    """At 64^2 the default 32-slice batches give the same bytes as 8-slice ones."""
+    ps = init_params(cfg, seed)
+    vol, _ = generate(PhantomSpec(dims=(40, 64, 64), seed=seed))
+    window = HuWindow()
+    probs = predict_probabilities(ps, vol.voxels, window)
+    assert probs.tobytes() == predict_probabilities(ps, vol.voxels, window, batch_size=8).tobytes()
+
+
+def test_tiny_config_default_batch_agrees_with_batch_8():
+    """At 32^2 the default batch is 128 slices. For tiny_config the two batch
+    sizes differ by a few 1e-7: each GEMM's row count grows with the batch, and
+    OpenBLAS picks its kernel (and so its summation order) by matrix size, so
+    this case is held to 1e-6 rather than to the bytes."""
+    ps = init_params(tiny_config(), 3)
+    vol, _ = generate(PhantomSpec(dims=(20, 32, 32), seed=3))
+    window = HuWindow()
+    probs = predict_probabilities(ps, vol.voxels, window)
+    np.testing.assert_allclose(probs, predict_probabilities(ps, vol.voxels, window, batch_size=8), rtol=0, atol=1e-6)
+
+
 def test_segment_volume_is_binarized_probabilities():
     ps = init_params(small_cfg(hw=32), 2)
     vol, _ = generate(PhantomSpec(dims=(5, 32, 32), seed=9))

@@ -166,6 +166,19 @@ def test_spec_validation():
     '{"dims": [4, 32, 32], "sede": 1}',
     '{"dims": [4, 32, 32], "bone_decoys": [{"center_xy": [1, 2]}]}',
     '{"dims": [4, 32, 32], "bone_decoys": [{"center_xy": [1, NaN], "radius_px": 2, "contact_z_range": [0, 2]}]}',
+    '{"dims": [4.5, 32, 32]}',
+    '{"dims": [4, 32, 0]}',
+    '{"dims": [4, 32]}',
+    '{"dims": [4, 32, 32], "noise_sigma": -1}',
+    '{"dims": [4, 32, 32], "noise_sigma": NaN}',
+    '{"dims": [4, 32, 32], "trunk_radius_px": NaN}',
+    '{"dims": [4, 32, 32], "branch_radius_px": Infinity}',
+    '{"dims": [4, 32, 32], "branch_radius_px": "3"}',
+    '{"dims": [4, 32, 32], "entry_xy": [16, NaN]}',
+    '{"dims": [4, 32, 32], "entry_xy": [16, 16, 16]}',
+    '{"dims": [4, 32, 32], "branch_half_angle_deg": NaN}',
+    '{"dims": [4, 32, 32], "intensities": {"background": 40, "lumen": "350", "occluded_lumen": 45, "bone": 900}}',
+    '{"dims": [4, 32, 32], "intensities": {"background": 40, "lumen": 350, "occluded_lumen": NaN, "bone": 900}}',
 ])
 def test_load_spec_raises_spec_invalid_for_a_malformed_file(tmp_path, text):
     (tmp_path / "phantom.json").write_text(text, encoding="utf-8")

@@ -338,6 +338,39 @@ def test_full_width_512_train_step_peaks_under_900_mib():
     assert peak_mib < 900, f"peak RSS {peak_mib:.0f} MiB"
 
 
+_EVAL_VOLUME_64 = """
+import time
+import numpy as np
+from vesselseg.checkpoint import Checkpoint
+from vesselseg.model import init_params, scaled_config
+from vesselseg.phantom import PhantomSpec, generate
+from vesselseg.training import evaluate
+
+cfg = scaled_config(64, width_divisor=4, bridge_layers=4, d_model=128, num_heads=8)
+ckpt = Checkpoint(config=cfg, params=init_params(cfg, seed=0))
+patient = generate(PhantomSpec(dims=(64, 64, 64), seed=0))
+times = []
+for _ in range(6):  # the first call warms up
+    start = time.perf_counter()
+    report = evaluate(ckpt, [patient])
+    times.append(time.perf_counter() - start)
+if not 0.0 <= report.mean_dice <= 1.0:
+    raise SystemExit(f"bad report {report}")
+print(float(np.median(times[1:])))  # seconds per 64-slice volume
+"""
+
+
+def test_study_model_eval_of_a_64_slice_volume_runs_in_a_fresh_process():
+    """evaluate() of one 64-slice 64^2 volume with the study model, as CI
+    times it: a finite Dice and a positive median time."""
+    env = dict(os.environ, PYTHONPATH=str(Path(vesselseg.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _EVAL_VOLUME_64], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert float(proc.stdout.split()[-1]) > 0
+
+
 def _adam_reference(theta, m, v, g, t, cfg):
     """One Adam update written as the expression adam_step evaluates in place."""
     b1, b2 = cfg.beta1, cfg.beta2
@@ -368,6 +401,25 @@ def test_adam_step_in_scratch_is_bit_identical_to_the_expression(dtype):
         for n in shapes:
             assert store.data(n).tobytes() == want[n].tobytes(), (t, n)
             assert state.m[n].tobytes() == moments[n][0].tobytes()
+
+
+def test_a_study_train_step_looks_up_blas_gemm_once_per_dtype(monkeypatch):
+    """autodiff._gemm caches scipy's gemm per dtype: the hundreds of GEMM calls
+    of one train() step of the study model (64^2, batch 8) make at most one
+    get_blas_funcs lookup for each dtype."""
+    lookups = []
+    real = vesselseg.autodiff.get_blas_funcs
+
+    def counting(names, *args, dtype=None, **kwargs):
+        lookups.append(np.dtype(dtype))
+        return real(names, *args, dtype=dtype, **kwargs)
+
+    monkeypatch.setattr(vesselseg.autodiff, "get_blas_funcs", counting)
+    monkeypatch.setattr(vesselseg.autodiff, "_GEMMS", {})
+    cfg = scaled_config(64, width_divisor=4, bridge_layers=4, d_model=128, num_heads=8)
+    patient = generate(PhantomSpec(dims=(8, 64, 64), seed=3))
+    train(cfg, TrainConfig(epochs=1, batch_size=8, seed=0), [patient])
+    assert lookups and len(lookups) == len(set(lookups)), lookups
 
 
 def test_train_step_and_eval_forward_make_no_numpy_gemm(monkeypatch):
