@@ -10,9 +10,10 @@ reproduce the two behaviours that break intensity tracking:
 
 Geometry is hard-edged (a voxel is inside a tube iff its center is
 strictly within the section radius), so a brute-force point-in-circle
-test reproduces the mask exactly. Noise is additive Gaussian drawn in one
-C-ordered (z, y, x) pass from numpy's PCG64 generator, so identical specs
-produce identical bytes.
+test reproduces the mask exactly. Noise is additive Gaussian drawn from
+numpy's PCG64 generator in C (z, y, x) order, one slice at a time (the
+generator streams the same values in chunks as in one draw), so identical
+specs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MissingFile, OutOfRange, SpecInvalid
-from .volume_io import MaskVolume, Volume, VolumeMeta, is_finite_number, make_output_dir
+from .volume_io import MaskVolume, Volume, VolumeMeta, is_finite_number, is_int, make_output_dir
 
 MASK_TO_BIFURCATION = "to_bifurcation"
 MASK_TO_END = "to_end"
@@ -82,8 +83,8 @@ class PhantomSpec:
         nz = self.dims[0]
         if not (type(self.seed) is int and self.seed >= 0):
             raise SpecInvalid(f"seed must be an int >= 0, got {self.seed!r}")
-        if not 0 <= self.bifurcation_z < nz:
-            raise SpecInvalid(f"bifurcation_z {self.bifurcation_z} outside [0, {nz})")
+        if not (is_int(self.bifurcation_z) and 0 <= self.bifurcation_z < nz):
+            raise SpecInvalid(f"bifurcation_z must be an int in [0, {nz}), got {self.bifurcation_z!r}")
         for name in ("trunk_radius_px", "branch_radius_px", "noise_sigma"):
             value = getattr(self, name)
             if not (is_finite_number(value) and value >= 0):
@@ -94,13 +95,9 @@ class PhantomSpec:
         if not (isinstance(xy, (tuple, list)) and len(xy) == 2 and all(map(is_finite_number, xy))):
             raise SpecInvalid(f"entry_xy must be two finite numbers, got {xy!r}")
         if self.occlusion_z_range is not None:
-            z0, z1 = self.occlusion_z_range
-            if not (0 <= z0 <= z1 <= nz):
-                raise SpecInvalid(f"occlusion range {self.occlusion_z_range} outside [0, {nz})")
+            _check_z_range("occlusion range", self.occlusion_z_range, nz)
         for decoy in self.bone_decoys:
-            z0, z1 = decoy.contact_z_range
-            if not (0 <= z0 <= z1 <= nz):
-                raise SpecInvalid(f"bone decoy z range {decoy.contact_z_range} outside [0, {nz})")
+            _check_z_range("bone decoy z range", decoy.contact_z_range, nz)
             if not all(map(is_finite_number, (*decoy.center_xy, decoy.radius_px))):
                 raise SpecInvalid(f"bone decoy center {decoy.center_xy} and radius {decoy.radius_px} must be finite")
             if decoy.radius_px <= 0:
@@ -138,6 +135,13 @@ class PhantomSpec:
             raise SpecInvalid(f"not a phantom spec: {exc!r}") from exc
 
 
+def _check_z_range(name: str, z_range, nz: int) -> None:
+    """SpecInvalid unless z_range is two ints 0 <= z0 <= z1 <= nz (slices [z0, z1))."""
+    two_ints = isinstance(z_range, (tuple, list)) and len(z_range) == 2 and all(map(is_int, z_range))
+    if not (two_ints and 0 <= z_range[0] <= z_range[1] <= nz):
+        raise SpecInvalid(f"{name} must be two ints 0 <= z0 <= z1 <= {nz}, got {z_range!r}")
+
+
 def centerline_at(spec: PhantomSpec, z: int) -> list[tuple[float, float, float]]:
     """Tube cross-sections (x, y, radius) on slice z.
 
@@ -158,12 +162,28 @@ def centerline_at(spec: PhantomSpec, z: int) -> list[tuple[float, float, float]]
     ]
 
 
-def _vessel_slice_mask(spec: PhantomSpec, z: int, xx: np.ndarray, yy: np.ndarray) -> np.ndarray:
-    """Boolean H x W map of voxel centers strictly inside any section."""
-    inside = np.zeros(xx.shape, dtype=bool)
-    for cx, cy, r in centerline_at(spec, z):
-        inside |= (xx - cx) ** 2 + (yy - cy) ** 2 < r * r
-    return inside
+def _disk(cx: float, cy: float, r2: float, ny: int, nx: int):
+    """(y0, x0, inside): the voxel centers of an ny x nx slice strictly inside
+    the circle (x - cx)^2 + (y - cy)^2 < r2, as a bool map of the circle's
+    bounding box (clipped to the slice) whose top-left voxel is (y0, x0);
+    None if that box misses the slice. Each voxel's test is the float64
+    expression a whole-slice grid evaluates."""
+    r = np.sqrt(r2)
+    pad = 1.0 + r * 1e-12  # float64 rounding moves the circle's edge by far less
+    y0, y1 = np.clip([np.floor(cy - r - pad), np.ceil(cy + r + pad) + 1], 0, ny).astype(int)
+    x0, x1 = np.clip([np.floor(cx - r - pad), np.ceil(cx + r + pad) + 1], 0, nx).astype(int)
+    if y0 >= y1 or x0 >= x1:
+        return None
+    xx = np.arange(x0, x1, dtype=np.float64)[None, :]
+    yy = np.arange(y0, y1, dtype=np.float64)[:, None]
+    return y0, x0, (xx - cx) ** 2 + (yy - cy) ** 2 < r2
+
+
+def _paint(plane: np.ndarray, disk, value) -> None:
+    """Set the voxels of a _disk result in plane (an ny x nx slice) to value."""
+    if disk is not None:
+        y0, x0, inside = disk
+        plane[y0 : y0 + inside.shape[0], x0 : x0 + inside.shape[1]][inside] = value
 
 
 def generate(spec: PhantomSpec) -> tuple[Volume, MaskVolume]:
@@ -172,35 +192,37 @@ def generate(spec: PhantomSpec) -> tuple[Volume, MaskVolume]:
     HU priority per voxel: bone decoy > vessel lumen (occluded lumen
     inside the occlusion range) > background, plus Gaussian noise. The
     mask marks vessel voxels only, occluded segments included, limited
-    by mask_extent; bone is never masked.
+    by mask_extent; bone is never masked. Each disk is tested inside its
+    bounding box only, and noise, rounding and the int16 cast go one slice
+    at a time, so no float64 array is the size of the volume.
     """
     spec.validate()
     nz, ny, nx = spec.dims
-    xx, yy = np.meshgrid(np.arange(nx, dtype=np.float64), np.arange(ny, dtype=np.float64))
-
-    base = np.full((nz, ny, nx), spec.intensities["background"], dtype=np.float64)
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    info = np.iinfo(np.int16)
+    voxels = np.empty((nz, ny, nx), dtype=np.int16)
     mask = np.zeros((nz, ny, nx), dtype=np.uint8)
+    base = np.empty((ny, nx), dtype=np.float64)
     occ = spec.occlusion_z_range
 
     for z in range(nz):
-        vessel = _vessel_slice_mask(spec, z, xx, yy)
+        base.fill(spec.intensities["background"])
         occluded = occ is not None and occ[0] <= z < occ[1]
-        base[z][vessel] = (
-            spec.intensities["occluded_lumen"] if occluded else spec.intensities["lumen"]
-        )
+        lumen = spec.intensities["occluded_lumen"] if occluded else spec.intensities["lumen"]
+        masked = spec.mask_extent == MASK_TO_END or z < spec.bifurcation_z
+        for cx, cy, r in centerline_at(spec, z):
+            disk = _disk(cx, cy, r * r, ny, nx)
+            _paint(base, disk, lumen)
+            if masked:
+                _paint(mask[z], disk, 1)
         for decoy in spec.bone_decoys:
             z0, z1 = decoy.contact_z_range
             if z0 <= z < z1:
                 bx, by = decoy.center_xy
-                bone = (xx - bx) ** 2 + (yy - by) ** 2 < decoy.radius_px**2
-                base[z][bone] = spec.intensities["bone"]
-        if spec.mask_extent == MASK_TO_END or z < spec.bifurcation_z:
-            mask[z] = vessel
-
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    noisy = base + rng.normal(0.0, spec.noise_sigma, size=base.shape)
-    info = np.iinfo(np.int16)
-    voxels = np.clip(np.rint(noisy), info.min, info.max).astype(np.int16)
+                _paint(base, _disk(bx, by, decoy.radius_px**2, ny, nx), spec.intensities["bone"])
+        noisy = rng.normal(0.0, spec.noise_sigma, size=(ny, nx))
+        noisy += base
+        voxels[z] = np.clip(np.rint(noisy, out=noisy), info.min, info.max, out=noisy)
 
     meta = VolumeMeta(
         height=ny, width=nx, num_slices=nz, spacing_mm=(1.0, 1.0, 1.0), patient_id=spec.patient_id

@@ -14,6 +14,14 @@ behaviour:
   * when a bright structure such as bone touches the vessel and shares
     its intensity window, the merged component is kept; a sudden area
     explosion is only reported, never corrected.
+
+The walk carries the region in box form, (y, x, mask) with mask cropped
+to the region's bounding box, from the seed pixel on slice 0 on.
+connected_region labels only that box grown by WINDOW_MARGIN_PX and
+doubles the margin while the kept region reaches an inner edge of the
+box, so its result always equals labelling the whole slice. The window
+is applied as int16 bounds [ceil(t_lo), floor(t_hi)], which select the
+same int16 voxels as the float window.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import SeedOutOfWindow, SpecInvalid
-from .volume_io import MaskVolume, Volume
+from .volume_io import MaskVolume, Volume, is_int
 
 EVENT_LOST = "lost"
 EVENT_BONE_MERGE = "bone_merge_suspect"
@@ -48,16 +56,12 @@ class TrackerConfig:
         if not (_is_real(self.t_lo) and _is_real(self.t_hi) and self.t_lo < self.t_hi):
             raise SpecInvalid(f"threshold window needs numbers t_lo < t_hi, got [{self.t_lo!r}, {self.t_hi!r}]")
         seed = self.seed_point
-        if not (isinstance(seed, (tuple, list)) and len(seed) == 2 and all(map(_is_int, seed))):
+        if not (isinstance(seed, (tuple, list)) and len(seed) == 2 and all(map(is_int, seed))):
             raise SpecInvalid(f"seed_point must be two ints (x, y), got {seed!r}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _is_real(value) -> bool:
-    return _is_int(value) or isinstance(value, (float, np.floating))
+    return is_int(value) or isinstance(value, (float, np.floating))
 
 
 @dataclass
@@ -67,63 +71,72 @@ class TrackEvent:
     detail: str
 
 
-def connected_region(hu_slice: np.ndarray, window: tuple[float, float], seed_mask: np.ndarray) -> np.ndarray:
-    """In-window 8-connected components overlapping the seed, as a bool map.
+def connected_region(
+    hu_slice: np.ndarray, window: tuple[float, float], seed: np.ndarray, y: int = 0, x: int = 0
+) -> tuple[int, int, np.ndarray] | None:
+    """In-window 8-connected components of hu_slice overlapping the seed, in box form.
 
-    A component survives iff at least one of its pixels is set in
-    seed_mask; the union of survivors is returned (possibly empty).
+    seed is a bool array whose top-left pixel sits at (y, x) of the slice;
+    the defaults take a full-size seed. A component survives iff at least
+    one of its pixels is set in seed. The union of survivors is returned as
+    (y, x, mask): mask is cropped to the survivors' bounding box and its
+    top-left pixel sits at (y, x). None means no component survives.
 
     Only the seed's bounding box grown by WINDOW_MARGIN_PX is labelled. A
-    component of that box which holds a seed pixel and touches none of its
-    inner edges (box edges that are not slice edges) has all its
+    kept component (one that holds a seed pixel) which touches none of the
+    box's inner edges (edges that are not slice edges) has all its
     neighbours inside the box, so it is a whole component of the slice;
-    components without a seed pixel never survive. If a component holding
-    a seed pixel touches an inner edge, the whole slice is labelled once
-    more, so the result always equals labelling the whole slice.
+    components without a seed pixel never survive. If the kept region's
+    bounding box reaches an inner edge, the margin doubles and the larger
+    box is labelled, at worst the whole slice, so the result always equals
+    labelling the whole slice.
+
+    The window is compared with the slice's own dtype, so track_volume
+    passes int16 bounds for its int16 voxels (no float copy of each box).
     """
-    seed = np.asarray(seed_mask, dtype=bool)
-    out = np.zeros(hu_slice.shape, dtype=bool)
-    rows = np.flatnonzero(seed.any(axis=1))
-    if rows.size == 0:
-        return out
-    cols = np.flatnonzero(seed[rows[0] : rows[-1] + 1].any(axis=0))
+    seed = np.asarray(seed, dtype=bool)
+    bounds = _bounds(seed)
+    if bounds is None:
+        return None
+    r0, r1, c0, c1 = bounds
+    seed = seed[r0:r1, c0:c1]
+    sy, sx = y + r0, x + c0  # the seed's box, on the slice
     h, w = hu_slice.shape
-    y0, y1 = max(rows[0] - WINDOW_MARGIN_PX, 0), min(rows[-1] + 1 + WINDOW_MARGIN_PX, h)
-    x0, x1 = max(cols[0] - WINDOW_MARGIN_PX, 0), min(cols[-1] + 1 + WINDOW_MARGIN_PX, w)
-    box = (slice(y0, y1), slice(x0, x1))
-    labels, counts = _label_overlaps(hu_slice[box], window, seed[box])
-    edges = (labels[0], y0 > 0), (labels[-1], y1 < h), (labels[:, 0], x0 > 0), (labels[:, -1], x1 < w)
-    if any(inner and counts[edge].any() for edge, inner in edges):  # a seed-holding component leaves the box
-        return _whole_slice_region(hu_slice, window, seed)
-    out[box] = (counts > 0)[labels]
-    return out
-
-
-def _whole_slice_region(hu_slice, window, seed) -> np.ndarray:
-    """connected_region by labelling the whole slice at once."""
-    labels, counts = _label_overlaps(hu_slice, window, seed)
-    return (counts > 0)[labels]
-
-
-def _label_overlaps(hu, window, seed):
-    """Labels of hu's in-window components, and each label's seed-pixel count.
-
-    The count of label 0 (background) is set to 0, so it is never kept.
-    """
     t_lo, t_hi = window
-    in_window = (hu >= t_lo) & (hu <= t_hi)
-    labels, n_labels = ndimage.label(in_window, structure=_EIGHT_CONNECTED)
-    counts = np.bincount(labels[seed], minlength=n_labels + 1)
-    counts[0] = 0
-    return labels, counts
+    margin = WINDOW_MARGIN_PX
+    while True:
+        y0, y1 = max(sy - margin, 0), min(sy + seed.shape[0] + margin, h)
+        x0, x1 = max(sx - margin, 0), min(sx + seed.shape[1] + margin, w)
+        hu = hu_slice[y0:y1, x0:x1]
+        labels, n_labels = ndimage.label((hu >= t_lo) & (hu <= t_hi), structure=_EIGHT_CONNECTED)
+        keep = np.zeros(n_labels + 1, dtype=bool)
+        keep[labels[sy - y0 : sy - y0 + seed.shape[0], sx - x0 : sx - x0 + seed.shape[1]][seed]] = True
+        keep[0] = False  # background
+        region = keep.take(labels, mode="clip")  # labels lie in [0, n_labels]: the clip moves none
+        bounds = _bounds(region)
+        if bounds is None:
+            return None
+        r0, r1, c0, c1 = bounds
+        if not (r0 == 0 < y0 or (r1 == y1 - y0 and y1 < h) or c0 == 0 < x0 or (c1 == x1 - x0 and x1 < w)):
+            return y0 + r0, x0 + c0, region[r0:r1, c0:c1]
+        margin *= 2  # the kept region reaches an inner edge of the box
+
+
+def _bounds(mask: np.ndarray):
+    """(r0, r1, c0, c1), the half-open bounding box of mask's set pixels, or None if there are none."""
+    rows = mask.any(axis=1).nonzero()[0]
+    if rows.size == 0:
+        return None
+    cols = mask[rows[0] : rows[-1] + 1].any(axis=0).nonzero()[0]
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
 
 
 def track_volume(volume: Volume, cfg: TrackerConfig) -> tuple[MaskVolume, list[TrackEvent]]:
     """Walk the stack slice by slice from a single seed pixel on slice 0.
 
-    Slice 0 is labelled whole: a vessel wider than WINDOW_MARGIN_PX reaches
-    the edge of the one-pixel seed's box, so the windowed labelling would
-    label that slice twice. Later slices use connected_region.
+    The track is carried as a box, (y, x, mask): slice 0 starts from the
+    seed pixel as a 1x1 mask, and each slice's region seeds the next, so
+    no per-slice array is the size of the slice.
     """
     sx, sy = cfg.seed_point
     if not (0 <= sx < volume.meta.width and 0 <= sy < volume.meta.height):
@@ -136,22 +149,21 @@ def track_volume(volume: Volume, cfg: TrackerConfig) -> tuple[MaskVolume, list[T
 
     out = np.zeros(volume.meta.shape, dtype=np.uint8)
     events: list[TrackEvent] = []
-    window = (cfg.t_lo, cfg.t_hi)
+    # The int16 voxels in [t_lo, t_hi] are those in [ceil(t_lo), floor(t_hi)].
+    # The seed pixel lies in the window, so ceil(t_lo) <= int16 max and
+    # floor(t_hi) >= int16 min, and clipping to int16 changes no selection.
+    info = np.iinfo(np.int16)
+    window = tuple(np.int16(np.clip(v, info.min, info.max)) for v in (np.ceil(cfg.t_lo), np.floor(cfg.t_hi)))
 
-    seed_mask = np.zeros((volume.meta.height, volume.meta.width), dtype=bool)
-    seed_mask[sy, sx] = True
+    region = (sy, sx, np.ones((1, 1), dtype=bool))
     prev_area = None
-    lost = False
     for z in range(volume.meta.num_slices):
-        if lost:
-            break  # remaining slices stay empty
-        find = _whole_slice_region if z == 0 else connected_region
-        region = find(volume.voxels[z], window, seed_mask)
-        area = np.count_nonzero(region)
-        if area == 0:
+        region = connected_region(volume.voxels[z], window, region[2], region[0], region[1])
+        if region is None:
             events.append(TrackEvent(z=z, kind=EVENT_LOST, detail="no in-window component overlaps the track"))
-            lost = True
-            continue
+            break  # the remaining slices stay empty
+        y, x, mask = region
+        area = np.count_nonzero(mask)
         if prev_area is not None and area > MAX_AREA_GROWTH * prev_area:
             events.append(
                 TrackEvent(
@@ -160,8 +172,7 @@ def track_volume(volume: Volume, cfg: TrackerConfig) -> tuple[MaskVolume, list[T
                     detail=f"region area jumped {prev_area} -> {area} px",
                 )
             )
-        out[z] = region
-        seed_mask = region
+        out[z, y : y + mask.shape[0], x : x + mask.shape[1]] = mask
         prev_area = area
     return MaskVolume(meta=volume.meta, voxels=out), events
 

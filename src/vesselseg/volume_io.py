@@ -46,6 +46,11 @@ def is_finite_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def is_int(value) -> bool:
+    """A Python or numpy integer; bools are not integers here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class HuWindow:
     """Intensity window mapped linearly onto [0, 1]."""

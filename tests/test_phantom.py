@@ -1,11 +1,14 @@
 """Phantom geometry against a brute-force voxel oracle, plus determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from vesselseg.errors import MissingFile, OutOfRange, SpecInvalid
 from vesselseg.phantom import (
     MASK_TO_BIFURCATION,
+    MASK_TO_END,
     BoneDecoy,
     PhantomSpec,
     centerline_at,
@@ -43,6 +46,92 @@ def brute_force_mask(spec):
                         mask[z, y, x] = 1
                         break
     return mask
+
+
+def _whole_volume_generate(spec):
+    """Oracle: the renderer that tests every disk on a whole-slice grid and
+    draws the noise for the whole volume in one call."""
+    nz, ny, nx = spec.dims
+    xx, yy = np.meshgrid(np.arange(nx, dtype=np.float64), np.arange(ny, dtype=np.float64))
+    base = np.full((nz, ny, nx), spec.intensities["background"], dtype=np.float64)
+    mask = np.zeros((nz, ny, nx), dtype=np.uint8)
+    occ = spec.occlusion_z_range
+    for z in range(nz):
+        vessel = np.zeros((ny, nx), dtype=bool)
+        for cx, cy, r in centerline_at(spec, z):
+            vessel |= (xx - cx) ** 2 + (yy - cy) ** 2 < r * r
+        occluded = occ is not None and occ[0] <= z < occ[1]
+        base[z][vessel] = spec.intensities["occluded_lumen"] if occluded else spec.intensities["lumen"]
+        for decoy in spec.bone_decoys:
+            z0, z1 = decoy.contact_z_range
+            if z0 <= z < z1:
+                bx, by = decoy.center_xy
+                base[z][(xx - bx) ** 2 + (yy - by) ** 2 < decoy.radius_px**2] = spec.intensities["bone"]
+        if spec.mask_extent == MASK_TO_END or z < spec.bifurcation_z:
+            mask[z] = vessel
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    noisy = base + rng.normal(0.0, spec.noise_sigma, size=base.shape)
+    info = np.iinfo(np.int16)
+    return np.clip(np.rint(noisy), info.min, info.max).astype(np.int16), mask
+
+
+def bench_style_spec(hw, nz, i, seed, late=False):
+    """A study-recipe phantom (occlusion plus two bone decoys) scaled to nz
+    slices of hw x hw, as the benchmark builds them."""
+    s, zs = hw / 64.0, nz / 64.0
+    corners = [(12.0, 12.0), (52.0, 12.0), (12.0, 52.0), (52.0, 52.0)]
+    a, b = corners[i % 4], corners[(i + 2) % 4]
+    ja, jb = (i * 5) % 7 - 3, (i * 3) % 7 - 3
+    occ0 = (44 if late else 14) + (i % 4) * 2
+
+    def z(v):
+        return min(nz, int(round(v * zs)))
+
+    return PhantomSpec(
+        dims=(nz, hw, hw),
+        seed=seed,
+        entry_xy=(s * (32.0 + (i * 7) % 5 - 2), s * (32.0 + (i * 3) % 5 - 2)),
+        trunk_radius_px=s * (9.0 + i % 3),
+        branch_radius_px=s * 3.0,
+        bifurcation_z=z(28 + (i % 5) * 2),
+        branch_half_angle_deg=12.0 + (i % 4) * 2.0,
+        occlusion_z_range=(z(occ0), z(occ0 + (6 if late else 8))),
+        bone_decoys=[
+            BoneDecoy((s * (a[0] + ja), s * (a[1] + jb)), s * (4.0 + i % 5), (z(4 + (i * 3) % 12), z(44 + (i * 5) % 20))),
+            BoneDecoy((s * (b[0] + jb), s * (b[1] + ja)), s * (3.0 + (i + 2) % 4), (z(10 + (i * 2) % 10), z(60 - (i * 2) % 8))),
+        ],
+    )
+
+
+ORACLE_SPECS = [
+    *(bench_style_spec(64, 64, i, seed=i + 1, late=i % 2 == 1) for i in range(4)),
+    bench_style_spec(128, 32, 5, seed=2),
+    bench_style_spec(512, 6, 1, seed=3, late=True),
+    small_spec(),
+    small_spec(mask_extent=MASK_TO_BIFURCATION, noise_sigma=0.0),
+    small_spec(dims=(3, 7, 40), entry_xy=(-30.0, 3.0), trunk_radius_px=2.0, bifurcation_z=1),  # off the slice
+    small_spec(entry_xy=(0.0, 23.0), trunk_radius_px=6.5, branch_radius_px=0.0),  # on a corner, empty branches
+    small_spec(trunk_radius_px=1e6, branch_radius_px=1e200, branch_half_angle_deg=89.0),  # huge disks
+    small_spec(entry_xy=(np.float64(11.25), 12), bone_decoys=[
+        BoneDecoy((5, 5.5), 4, (0, 12)),
+        BoneDecoy((30.0, -4.0), 7.5, (2, 9)),  # mostly off the slice
+        BoneDecoy((12.0, 12.0), 1e5, (11, 12)),  # covers the slice
+        BoneDecoy((-1e9, 12.0), 1e9 + 5.0, (3, 4)),  # its edge on the slice
+        BoneDecoy((400.0, 400.0), 2.0, (0, 12)),  # far off the slice
+    ]),
+    small_spec(dims=(1, 1, 1), entry_xy=(0.0, 0.0), bifurcation_z=0, noise_sigma=1e6),  # clipped to int16
+    small_spec(intensities={"background": -2000.0, "lumen": 35000.0, "occluded_lumen": 0.5, "bone": 1.5},
+               occlusion_z_range=(2, 5)),
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=range(len(ORACLE_SPECS)))
+def test_generate_is_byte_identical_to_the_whole_volume_renderer(spec):
+    vol, mask = generate(spec)
+    want_vol, want_mask = _whole_volume_generate(spec)
+    assert vol.voxels.dtype == want_vol.dtype and mask.voxels.dtype == want_mask.dtype
+    assert hashlib.sha256(vol.voxels.tobytes()).digest() == hashlib.sha256(want_vol.tobytes()).digest()
+    assert hashlib.sha256(mask.voxels.tobytes()).digest() == hashlib.sha256(want_mask.tobytes()).digest()
 
 
 def test_centerline_trunk_at_origin():
@@ -152,6 +241,19 @@ def test_spec_validation():
     for seed in (-1, 1.5, "x", True, None):
         with pytest.raises(SpecInvalid, match="seed"):
             small_spec(seed=seed)
+    for bad in (1.5, np.float64(2.0), True, "3"):  # None means the default, nz // 2
+        with pytest.raises(SpecInvalid, match="bifurcation_z"):
+            small_spec(bifurcation_z=bad)
+    for bad in ((0.5, 2.5), (1, 2.0), (np.float64(1), 3), (False, 2), (1,), (1, 2, 3), "1:2", 4):
+        with pytest.raises(SpecInvalid, match="occlusion range"):
+            small_spec(occlusion_z_range=bad)
+        with pytest.raises(SpecInvalid, match="bone decoy z range"):
+            small_spec(bone_decoys=[BoneDecoy(center_xy=(4.0, 4.0), radius_px=2.0, contact_z_range=bad)])
+    spec = small_spec(bifurcation_z=np.int64(6), occlusion_z_range=(np.int32(2), 4),
+                      bone_decoys=[BoneDecoy(center_xy=(4.0, 4.0), radius_px=2.0, contact_z_range=(np.int16(0), 3))])
+    np.testing.assert_array_equal(generate(spec)[0].voxels, generate(small_spec(
+        occlusion_z_range=(2, 4), bone_decoys=[BoneDecoy(center_xy=(4.0, 4.0), radius_px=2.0, contact_z_range=(0, 3))]
+    ))[0].voxels)
     nan, inf = float("nan"), float("inf")
     for center, radius in (((10.0, 10.0), nan), ((10.0, nan), 3.0), ((10.0, 10.0), inf), ((-inf, 10.0), 3.0)):
         with pytest.raises(SpecInvalid, match="bone decoy"):
@@ -167,6 +269,10 @@ def test_spec_validation():
     '{"dims": [4, 32, 32], "bone_decoys": [{"center_xy": [1, 2]}]}',
     '{"dims": [4, 32, 32], "bone_decoys": [{"center_xy": [1, NaN], "radius_px": 2, "contact_z_range": [0, 2]}]}',
     '{"dims": [4.5, 32, 32]}',
+    '{"dims": [4, 32, 32], "bifurcation_z": 1.5}',
+    '{"dims": [4, 32, 32], "occlusion_z_range": [0.5, 2.5]}',
+    '{"dims": [4, 32, 32], "occlusion_z_range": [1, 2, 3]}',
+    '{"dims": [4, 32, 32], "bone_decoys": [{"center_xy": [1, 2], "radius_px": 2, "contact_z_range": [0, 1.5]}]}',
     '{"dims": [4, 32, 0]}',
     '{"dims": [4, 32]}',
     '{"dims": [4, 32, 32], "noise_sigma": -1}',

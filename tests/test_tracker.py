@@ -1,11 +1,16 @@
 """Baseline tracker behavior, including its deliberate failure modes."""
 
+import os
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+import vesselseg
 from vesselseg import tracker
 from vesselseg.errors import SeedOutOfWindow, SpecInvalid
 from vesselseg.losses import patient_dice
@@ -64,6 +69,38 @@ def _full_slice_region(hu_slice, window, seed_mask):
     return np.isin(labels, keep)
 
 
+def paste(box, shape):
+    """A (y, x, mask) box, or None, as a full-size bool map."""
+    full = np.zeros(shape, dtype=bool)
+    if box is not None:
+        y, x, mask = box
+        full[y : y + mask.shape[0], x : x + mask.shape[1]] = mask
+    return full
+
+
+def crop(full):
+    """A full-size bool map as connected_region's (y, x, mask), or None if empty."""
+    if not full.any():
+        return None
+    rows, cols = np.flatnonzero(full.any(axis=1)), np.flatnonzero(full.any(axis=0))
+    return rows[0], cols[0], full[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+
+
+def _full_slice_box(hu_slice, window, seed, y=0, x=0):
+    """_full_slice_region with connected_region's box signature."""
+    return crop(_full_slice_region(hu_slice, window, paste((y, x, seed), hu_slice.shape)))
+
+
+def region_map(hu_slice, window, seed, y=0, x=0):
+    """connected_region pasted into a full-size map, after checking its box is tight."""
+    box = connected_region(hu_slice, window, seed, y, x)
+    if box is not None:
+        mask = box[2]
+        assert mask.dtype == bool
+        assert mask[0].any() and mask[-1].any() and mask[:, 0].any() and mask[:, -1].any()
+    return paste(box, hu_slice.shape)
+
+
 def drawn(draw, shape, joined_by):
     """draw(shape) as drawn (solid shapes, joined_by 4), or for joined_by 8
     drawn at half size with each pixel blown up to the main diagonal of a 2x2
@@ -86,7 +123,7 @@ def test_connected_region_empty_when_below_window():
     hu = np.full((8, 8), 10.0)
     seed = np.zeros((8, 8), dtype=bool)
     seed[4, 4] = True
-    assert connected_region(hu, (200, 500), seed).sum() == 0
+    assert connected_region(hu, (200, 500), seed) is None
 
 
 def test_connected_region_exact_disk():
@@ -95,7 +132,7 @@ def test_connected_region_exact_disk():
     hu = np.where(disk, 300.0, 40.0)
     seed = np.zeros((16, 16), dtype=bool)
     seed[8, 8] = True
-    region = connected_region(hu, (200, 500), seed)
+    region = region_map(hu, (200, 500), seed)
     np.testing.assert_array_equal(region, disk)
     np.testing.assert_array_equal(region, flood_fill_region(disk, seed))
 
@@ -106,7 +143,7 @@ def test_connected_region_keeps_only_overlapping_component():
     hu[5:7, 5:7] = 300.0   # does not
     seed = np.zeros((8, 8), dtype=bool)
     seed[1, 1] = True
-    region = connected_region(hu, (200, 500), seed)
+    region = region_map(hu, (200, 500), seed)
     assert region[1:3, 1:3].all()
     assert region[5:7, 5:7].sum() == 0
 
@@ -116,9 +153,9 @@ def test_connected_region_min_overlap_threshold():
     hu = np.full((6, 6), 300.0)  # one big component
     seed = np.zeros((6, 6), dtype=bool)
     seed[0, 0] = True
-    assert connected_region(hu, (200, 500), seed).all()
+    assert region_map(hu, (200, 500), seed).all()
     hu[0, 0] = 40.0  # the seed pixel leaves the window, so no pixel of the component is seeded
-    assert not connected_region(hu, (200, 500), seed).any()
+    assert not region_map(hu, (200, 500), seed).any()
 
 
 @pytest.mark.parametrize("joined_by", [4, 8])
@@ -127,7 +164,7 @@ def test_connected_region_matches_flood_fill_oracle(joined_by):
         in_window = drawn(lambda s: RNG.uniform(size=s) < 0.45, (12, 12), joined_by)
         hu = np.where(in_window, 300.0, 40.0)
         seed = RNG.uniform(size=(12, 12)) < 0.1
-        got = connected_region(hu, (200, 500), seed)
+        got = region_map(hu, (200, 500), seed)
         np.testing.assert_array_equal(got, flood_fill_region(in_window, seed))
 
 
@@ -137,8 +174,7 @@ SLICE_SHAPES = [(64, 64), (96, 80)]
 
 def assert_matches_oracles(in_window, seed):
     hu = np.where(in_window, HU_IN, HU_OUT)
-    got = connected_region(hu, (200, 500), seed)
-    assert got.dtype == bool and got.shape == in_window.shape
+    got = region_map(hu, (200, 500), seed)
     np.testing.assert_array_equal(got, _full_slice_region(hu, (200, 500), seed))
     np.testing.assert_array_equal(got, flood_fill_region(in_window, seed))
     return got
@@ -434,17 +470,39 @@ def scaled_phantom(hw, kind):
     return vol, TrackerConfig(t_lo=window[0], t_hi=window[1], seed_point=(int(16 * s), int(16 * s)))
 
 
-@pytest.mark.parametrize("hw", [64, 256])
+@pytest.mark.parametrize("hw", [64, 256, 512])
 @pytest.mark.parametrize("kind", ["occlusion", "bone"])
 def test_track_matches_full_slice_walk(monkeypatch, hw, kind):
+    """Every slice, slice 0 included, against whole-slice labelling."""
     vol, cfg = scaled_phantom(hw, kind)
     pred, events = track_volume(vol, cfg)
-    monkeypatch.setattr(tracker, "connected_region", _full_slice_region)
+    monkeypatch.setattr(tracker, "connected_region", _full_slice_box)
     want_pred, want_events = track_volume(vol, cfg)
     assert pred.voxels.tobytes() == want_pred.voxels.tobytes()
     assert events == want_events
     want_kind = EVENT_LOST if kind == "occlusion" else EVENT_BONE_MERGE
     assert any(e.kind == want_kind for e in events)
+
+
+@pytest.mark.parametrize("window", [(199.5, 500.5), (200.25, 499.75), (float("-inf"), 500), (200, float("inf")),
+                                    (-1e9, 1e9), (np.float32(200.5), np.int64(950))])
+@pytest.mark.parametrize("kind", ["occlusion", "bone"])
+def test_track_with_int16_bounds_equals_the_float_window_walk(monkeypatch, window, kind):
+    """track_volume applies the window as int16 bounds; a whole-slice walk
+    that compares the voxels with the float window gives the same bytes.
+    Uniform noise of +-160 HU puts voxels on both sides of every bound."""
+    vol, cfg = scaled_phantom(64, kind)
+    noise = np.random.default_rng(9).integers(-160, 161, size=vol.voxels.shape)
+    vol = Volume(meta=vol.meta, voxels=vol.voxels + noise)
+    sx, sy = cfg.seed_point
+    vol.voxels[0, sy, sx] = 350  # the seed pixel stays in every window
+    cfg = TrackerConfig(t_lo=window[0], t_hi=window[1], seed_point=cfg.seed_point)
+    pred, events = track_volume(vol, cfg)
+    float_window = (cfg.t_lo, cfg.t_hi)
+    monkeypatch.setattr(tracker, "connected_region",
+                        lambda hu, _window, seed, y=0, x=0: _full_slice_box(hu, float_window, seed, y, x))
+    want_pred, want_events = track_volume(vol, cfg)
+    assert pred.voxels.tobytes() == want_pred.voxels.tobytes() and events == want_events
 
 
 def test_track_labels_a_window_not_the_slice(monkeypatch):
@@ -467,14 +525,15 @@ def test_track_labels_a_window_not_the_slice(monkeypatch):
     assert np.mean(areas) / (256 * 256) < 0.25
 
 
-def test_track_labels_slice_0_once(monkeypatch):
-    """Slice 0 is labelled whole, once: the one-pixel seed's box is too small
-    for a vessel wider than the margin, which would force a second pass."""
-    shapes = []
+def test_track_labels_less_than_half_of_slice_0(monkeypatch):
+    """Slice 0 grows its box from the one-pixel seed, doubling the margin
+    while the vessel reaches an inner edge: the boxes together cover less
+    than half the slice, and the mask is the whole-slice one."""
+    areas = []
     real_label = ndimage.label
 
     def recording_label(image, structure=None):
-        shapes.append(image.shape)
+        areas.append(image.size)
         return real_label(image, structure=structure)
 
     spec = clean_spec(dims=(1, 256, 256), trunk_radius_px=36.0, branch_radius_px=12.0,
@@ -483,11 +542,72 @@ def test_track_labels_slice_0_once(monkeypatch):
     cfg = TrackerConfig(t_lo=200, t_hi=500, seed_point=(128, 128))
     monkeypatch.setattr(ndimage, "label", recording_label)
     pred, events = track_volume(vol, cfg)
-    assert shapes == [(256, 256)]
+    assert len(areas) > 1 and sum(areas) < 256 * 256 / 2
     assert pred.voxels[0].sum() > (2 * WINDOW_MARGIN_PX + 1) ** 2 and events == []
     seed = np.zeros((256, 256), dtype=bool)
     seed[128, 128] = True
     np.testing.assert_array_equal(pred.voxels[0], _full_slice_region(vol.voxels[0], (200, 500), seed))
+
+
+def offset_drawings(shape):
+    """(name, in-window map, full-size seed) on the blob, snake and spiral drawings."""
+    h, w = shape
+    rng = np.random.default_rng([h, w])
+    center = np.zeros(shape, dtype=bool)
+    center[h // 2, w // 2] = True
+    for joined_by in (4, 8):
+        for side in ("top", "bottom", "left", "right"):
+            yield f"snake-{side}-{joined_by}", drawn(lambda s: snake(s, side), shape, joined_by), center
+        spiral_map = drawn(spiral, shape, joined_by)
+        pixels = np.argwhere(spiral_map)
+        inner = np.zeros(shape, dtype=bool)
+        inner[tuple(pixels[np.abs(pixels - (h // 2, w // 2)).sum(axis=1).argmin()])] = True
+        yield f"spiral-{joined_by}", spiral_map, inner
+        for k in range(4):
+            seed = np.zeros(shape, dtype=bool)
+            for _ in range(k + 1):
+                seed |= seed_patch(shape, rng, tuple(rng.integers(0, shape)))
+            yield f"blobs-{k}-{joined_by}", drawn(lambda s: random_blobs(s, rng), shape, joined_by), seed
+
+
+@pytest.mark.parametrize("shape", SLICE_SHAPES)
+def test_offset_seed_boxes_give_the_full_size_result(shape):
+    """A seed handed over as a sub-array at (y, x) != (0, 0), with empty rows
+    and columns around its pixels, gives the full-size seed's region."""
+    offsets = []
+    for name, in_window, seed in offset_drawings(shape):
+        hu = np.where(in_window, HU_IN, HU_OUT)
+        want = assert_matches_oracles(in_window, seed)
+        rows, cols = np.flatnonzero(seed.any(axis=1)), np.flatnonzero(seed.any(axis=0))
+        for pad in (0, 1, 3):
+            y, x = max(rows[0] - pad, 0), max(cols[0] - pad, 0)
+            sub = seed[y : rows[-1] + 1 + pad, x : cols[-1] + 1 + pad]
+            assert sub.sum() == seed.sum()
+            got = region_map(hu, (200, 500), sub, y, x)
+            np.testing.assert_array_equal(got, want, err_msg=f"{name} pad {pad}")
+            offsets.append(y > 0 and x > 0)
+    assert np.mean(offsets) > 0.8  # seed patches may sit on the slice's top or left edge
+
+
+@pytest.mark.parametrize("side", ["top", "bottom", "left", "right"])
+def test_margin_doubles_until_the_snake_fits(monkeypatch, side):
+    """A snake that runs to the far slice border is found by labelling boxes
+    whose margin doubles from WINDOW_MARGIN_PX, each larger than the last."""
+    shape = (96, 80)
+    in_window = snake(shape, side)
+    shapes = []
+    real_label = ndimage.label
+
+    def recording_label(image, structure=None):
+        shapes.append(image.shape)
+        return real_label(image, structure=structure)
+
+    monkeypatch.setattr(ndimage, "label", recording_label)
+    got = region_map(np.where(in_window, HU_IN, HU_OUT), (200, 500), np.ones((1, 1), dtype=bool), 48, 40)
+    np.testing.assert_array_equal(got, in_window)
+    assert shapes[0] == (2 * WINDOW_MARGIN_PX + 1,) * 2
+    assert len(shapes) > 1 and all(a[0] <= b[0] and a[1] <= b[1] and a != b for a, b in zip(shapes, shapes[1:]))
+    assert shapes[-1][0] <= shape[0] and shapes[-1][1] <= shape[1]
 
 
 @pytest.mark.parametrize("seed_point", [(16.0, 16), (16,), (16, 16, 0), (True, 16), "16,16", None])
@@ -509,3 +629,40 @@ def test_tracker_config_accepts_numpy_ints_and_infinite_thresholds():
     pred, events = track_volume(vol, cfg)
     assert pred.voxels[0, 16, 16] == 1 and not any(e.kind == EVENT_LOST for e in events)
     TrackerConfig(t_lo=float("-inf"), t_hi=float("inf"), seed_point=(0, 0))
+
+
+_TRACK_VOLUME_512 = """
+import time
+import numpy as np
+from vesselseg.phantom import BoneDecoy, PhantomSpec, generate
+from vesselseg.tracker import EVENT_LOST, TrackerConfig, track_volume
+
+# a 64-slice 512^2 phantom whose occlusion starts past the bifurcation,
+# with two bone decoys, so the tracker walks 45 slices before it is lost
+spec = PhantomSpec(
+    dims=(64, 512, 512), seed=1, entry_xy=(256.0, 256.0), trunk_radius_px=80.0,
+    branch_radius_px=24.0, bifurcation_z=28, branch_half_angle_deg=12.0, occlusion_z_range=(44, 50),
+    bone_decoys=[BoneDecoy((96.0, 96.0), 32.0, (4, 44)), BoneDecoy((416.0, 416.0), 24.0, (10, 60))],
+)
+vol, _ = generate(spec)
+cfg = TrackerConfig(t_lo=200.0, t_hi=500.0, seed_point=(256, 256))
+times = []
+for _ in range(11):  # the first call warms up
+    start = time.perf_counter()
+    mask, events = track_volume(vol, cfg)
+    times.append(time.perf_counter() - start)
+if [e.z for e in events if e.kind == EVENT_LOST] != [44] or not mask.voxels[:44].any():
+    raise SystemExit(f"bad track {events}")
+print(float(np.median(times[1:])))  # seconds per track_volume call
+"""
+
+
+def test_track_volume_of_a_64_slice_512_volume_runs_in_a_fresh_process():
+    """track_volume on a 64-slice 512^2 late-occlusion phantom, as CI times
+    it: lost where the occlusion starts, and a positive median time."""
+    env = dict(os.environ, PYTHONPATH=str(Path(vesselseg.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACK_VOLUME_512], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert float(proc.stdout.split()[-1]) > 0
