@@ -505,44 +505,43 @@ def test_track_with_int16_bounds_equals_the_float_window_walk(monkeypatch, windo
     assert pred.voxels.tobytes() == want_pred.voxels.tobytes() and events == want_events
 
 
-def test_track_labels_a_window_not_the_slice(monkeypatch):
-    """Guard against whole-slice labelling coming back."""
-    areas = []
+@pytest.fixture
+def label_shapes(monkeypatch):
+    """The shapes of the images ndimage.label is called on, in call order."""
+    shapes = []
     real_label = ndimage.label
 
     def recording_label(image, structure=None):
-        areas.append(image.size)
+        shapes.append(image.shape)
         return real_label(image, structure=structure)
 
+    monkeypatch.setattr(ndimage, "label", recording_label)
+    return shapes
+
+
+def test_track_labels_a_window_not_the_slice(label_shapes):
+    """Guard against whole-slice labelling coming back."""
     # a trunk of a seventh of the slice width, as in the 512^2 benchmark phantoms
     spec = clean_spec(dims=(24, 256, 256), trunk_radius_px=36.0, branch_radius_px=12.0,
                       entry_xy=(128.0, 128.0), occlusion_z_range=(16, 20))
     vol, _ = generate(spec)
     cfg = TrackerConfig(t_lo=200, t_hi=500, seed_point=(128, 128))
-    monkeypatch.setattr(ndimage, "label", recording_label)
     pred, _ = track_volume(vol, cfg)
+    areas = [h * w for h, w in label_shapes]
     assert len(areas) >= 8 and pred.voxels.any()
     assert np.mean(areas) / (256 * 256) < 0.25
 
 
-def test_track_labels_less_than_half_of_slice_0(monkeypatch):
+def test_track_labels_less_than_half_of_slice_0(label_shapes):
     """Slice 0 grows its box from the one-pixel seed, doubling the margin
     while the vessel reaches an inner edge: the boxes together cover less
     than half the slice, and the mask is the whole-slice one."""
-    areas = []
-    real_label = ndimage.label
-
-    def recording_label(image, structure=None):
-        areas.append(image.size)
-        return real_label(image, structure=structure)
-
     spec = clean_spec(dims=(1, 256, 256), trunk_radius_px=36.0, branch_radius_px=12.0,
                       entry_xy=(128.0, 128.0), bifurcation_z=0)
     vol, _ = generate(spec)
     cfg = TrackerConfig(t_lo=200, t_hi=500, seed_point=(128, 128))
-    monkeypatch.setattr(ndimage, "label", recording_label)
     pred, events = track_volume(vol, cfg)
-    assert len(areas) > 1 and sum(areas) < 256 * 256 / 2
+    assert len(label_shapes) > 1 and sum(h * w for h, w in label_shapes) < 256 * 256 / 2
     assert pred.voxels[0].sum() > (2 * WINDOW_MARGIN_PX + 1) ** 2 and events == []
     seed = np.zeros((256, 256), dtype=bool)
     seed[128, 128] = True
@@ -590,21 +589,14 @@ def test_offset_seed_boxes_give_the_full_size_result(shape):
 
 
 @pytest.mark.parametrize("side", ["top", "bottom", "left", "right"])
-def test_margin_doubles_until_the_snake_fits(monkeypatch, side):
+def test_margin_doubles_until_the_snake_fits(label_shapes, side):
     """A snake that runs to the far slice border is found by labelling boxes
     whose margin doubles from WINDOW_MARGIN_PX, each larger than the last."""
     shape = (96, 80)
     in_window = snake(shape, side)
-    shapes = []
-    real_label = ndimage.label
-
-    def recording_label(image, structure=None):
-        shapes.append(image.shape)
-        return real_label(image, structure=structure)
-
-    monkeypatch.setattr(ndimage, "label", recording_label)
     got = region_map(np.where(in_window, HU_IN, HU_OUT), (200, 500), np.ones((1, 1), dtype=bool), 48, 40)
     np.testing.assert_array_equal(got, in_window)
+    shapes = label_shapes
     assert shapes[0] == (2 * WINDOW_MARGIN_PX + 1,) * 2
     assert len(shapes) > 1 and all(a[0] <= b[0] and a[1] <= b[1] and a != b for a, b in zip(shapes, shapes[1:]))
     assert shapes[-1][0] <= shape[0] and shapes[-1][1] <= shape[1]
