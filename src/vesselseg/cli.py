@@ -357,11 +357,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Flags whose value is any float, -inf and -1e3 included.
+_FLOAT_VALUED_FLAGS = ("--t-lo", "--t-hi")
+
+
+def _attach_float_values(argv: list[str]) -> list[str]:
+    """argv with "--t-lo -inf" written as "--t-lo=-inf": argparse reads a
+    token that starts with "-" as a flag unless it looks like -5 or -5.5.
+    A token that is no float then fails as the flag's value."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _FLOAT_VALUED_FLAGS and token.startswith("-"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def dispatch(argv: list[str]) -> CommandResult:
     """Parse argv and run the chosen subcommand."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_float_values(argv))
         return args.func(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

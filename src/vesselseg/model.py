@@ -41,7 +41,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigInvalid, DimensionMismatch, NonFiniteActivation, ShapeMismatch
-from .losses import binarize, config_digest
+from .losses import config_digest
 from .volume_io import DictConfig, HuWindow, MaskVolume, Volume, normalize_slice, to_model_input
 
 BASE_ENCODER_WIDTHS = (64, 64, 128, 256, 512)
@@ -529,4 +529,4 @@ def segment_volume(ps: ParamStore, volume: Volume, window: HuWindow, threshold: 
             f"model wants {cfg.input_hw}x{cfg.input_hw}"
         )
     probs = predict_probabilities(ps, volume.voxels, window)
-    return MaskVolume(meta=volume.meta, voxels=binarize(probs, threshold))
+    return MaskVolume(meta=volume.meta, voxels=probs >= threshold)  # bool: MaskVolume skips its value scan

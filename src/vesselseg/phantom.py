@@ -201,7 +201,7 @@ def generate(spec: PhantomSpec) -> tuple[Volume, MaskVolume]:
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     info = np.iinfo(np.int16)
     voxels = np.empty((nz, ny, nx), dtype=np.int16)
-    mask = np.zeros((nz, ny, nx), dtype=np.uint8)
+    mask = np.zeros((nz, ny, nx), dtype=bool)
     base = np.empty((ny, nx), dtype=np.float64)
     occ = spec.occlusion_z_range
 
@@ -214,7 +214,7 @@ def generate(spec: PhantomSpec) -> tuple[Volume, MaskVolume]:
             disk = _disk(cx, cy, r * r, ny, nx)
             _paint(base, disk, lumen)
             if masked:
-                _paint(mask[z], disk, 1)
+                _paint(mask[z], disk, True)
         for decoy in spec.bone_decoys:
             z0, z1 = decoy.contact_z_range
             if z0 <= z < z1:

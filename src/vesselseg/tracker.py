@@ -19,9 +19,14 @@ The walk carries the region in box form, (y, x, mask) with mask cropped
 to the region's bounding box, from the seed pixel on slice 0 on.
 connected_region labels only that box grown by WINDOW_MARGIN_PX and
 doubles the margin while the kept region reaches an inner edge of the
-box, so its result always equals labelling the whole slice. The window
-is applied as int16 bounds [ceil(t_lo), floor(t_hi)], which select the
-same int16 voxels as the float window.
+box, so its result always equals labelling the whole slice. Each step
+does only the work its answer depends on: a box that labels as one
+component is the region itself (or nothing, if no seed pixel lies in it),
+so labels are looked up under the seed only when there are two or more,
+and the carried mask is already tight, so the seed is cropped only when an
+edge row or column of it is empty. The window is applied as int16 bounds
+[ceil(t_lo), floor(t_hi)], which select the same int16 voxels as the float
+window, and the output is built as bool, which MaskVolume takes unscanned.
 """
 
 from __future__ import annotations
@@ -80,7 +85,9 @@ def connected_region(
     the defaults take a full-size seed. A component survives iff at least
     one of its pixels is set in seed. The union of survivors is returned as
     (y, x, mask): mask is cropped to the survivors' bounding box and its
-    top-left pixel sits at (y, x). None means no component survives.
+    top-left pixel sits at (y, x). None means no component survives. A seed
+    with a pixel in each edge row and column (such as a returned mask) is
+    used as it is; any other seed is first cropped to its bounding box.
 
     Only the seed's bounding box grown by WINDOW_MARGIN_PX is labelled. A
     kept component (one that holds a seed pixel) which touches none of the
@@ -89,30 +96,40 @@ def connected_region(
     components without a seed pixel never survive. If the kept region's
     bounding box reaches an inner edge, the margin doubles and the larger
     box is labelled, at worst the whole slice, so the result always equals
-    labelling the whole slice.
+    labelling the whole slice. A box that labels as one component needs no
+    lookup: the in-window mask is the region when a seed pixel lies in it,
+    and nothing survives otherwise.
 
     The window is compared with the slice's own dtype, so track_volume
     passes int16 bounds for its int16 voxels (no float copy of each box).
     """
     seed = np.asarray(seed, dtype=bool)
-    bounds = _bounds(seed)
-    if bounds is None:
-        return None
-    r0, r1, c0, c1 = bounds
-    seed = seed[r0:r1, c0:c1]
-    sy, sx = y + r0, x + c0  # the seed's box, on the slice
+    if not (seed.size and seed[0].any() and seed[-1].any() and seed[:, 0].any() and seed[:, -1].any()):
+        bounds = _bounds(seed)  # an edge row or column is empty: crop the seed to its pixels
+        if bounds is None:
+            return None
+        r0, r1, c0, c1 = bounds
+        seed = seed[r0:r1, c0:c1]
+        y, x = y + r0, x + c0
     h, w = hu_slice.shape
     t_lo, t_hi = window
     margin = WINDOW_MARGIN_PX
     while True:
-        y0, y1 = max(sy - margin, 0), min(sy + seed.shape[0] + margin, h)
-        x0, x1 = max(sx - margin, 0), min(sx + seed.shape[1] + margin, w)
+        y0, y1 = max(y - margin, 0), min(y + seed.shape[0] + margin, h)
+        x0, x1 = max(x - margin, 0), min(x + seed.shape[1] + margin, w)
         hu = hu_slice[y0:y1, x0:x1]
-        labels, n_labels = ndimage.label((hu >= t_lo) & (hu <= t_hi), structure=_EIGHT_CONNECTED)
-        keep = np.zeros(n_labels + 1, dtype=bool)
-        keep[labels[sy - y0 : sy - y0 + seed.shape[0], sx - x0 : sx - x0 + seed.shape[1]][seed]] = True
-        keep[0] = False  # background
-        region = keep.take(labels, mode="clip")  # labels lie in [0, n_labels]: the clip moves none
+        in_window = (hu >= t_lo) & (hu <= t_hi)
+        labels, n_labels = ndimage.label(in_window, structure=_EIGHT_CONNECTED)
+        under_seed = (slice(y - y0, y - y0 + seed.shape[0]), slice(x - x0, x - x0 + seed.shape[1]))
+        if n_labels == 1:  # the one component is the window mask: kept iff a seed pixel lies in it
+            if not in_window[under_seed][seed].any():
+                return None
+            region = in_window
+        else:
+            keep = np.zeros(n_labels + 1, dtype=bool)
+            keep[labels[under_seed][seed]] = True
+            keep[0] = False  # background
+            region = keep.take(labels, mode="clip")  # labels lie in [0, n_labels]: the clip moves none
         bounds = _bounds(region)
         if bounds is None:
             return None
@@ -147,7 +164,7 @@ def track_volume(volume: Volume, cfg: TrackerConfig) -> tuple[MaskVolume, list[T
             f"seed pixel value {seed_value} HU outside window [{cfg.t_lo}, {cfg.t_hi}]"
         )
 
-    out = np.zeros(volume.meta.shape, dtype=np.uint8)
+    out = np.zeros(volume.meta.shape, dtype=bool)  # a bool mask needs no value scan in MaskVolume
     events: list[TrackEvent] = []
     # The int16 voxels in [t_lo, t_hi] are those in [ceil(t_lo), floor(t_hi)].
     # The seed pixel lies in the window, so ceil(t_lo) <= int16 max and

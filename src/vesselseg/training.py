@@ -68,6 +68,11 @@ class TrainConfig(DictConfig):
                 raise ConfigInvalid(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
+# Elements per slice of one Adam update: the slice's four tensors plus
+# scratch (6 x 128 KiB at float32) stay in L2 between its ufuncs.
+ADAM_CHUNK = 1 << 15
+
+
 @dataclass
 class AdamState:
     """First/second moment estimates plus the shared step counter."""
@@ -90,12 +95,13 @@ def adam_step(
     """One bias-corrected Adam update in place; a bad gradient changes nothing.
 
     Every gradient is checked before any parameter moves. The update
-    theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps) runs as in-place ufuncs
-    over the two rows of one scratch buffer sized to the largest gradient,
-    in the order that expression evaluates, so it allocates no temporary
-    per tensor and is bit-identical to the expression. The buffer lives
-    for one call only: kept across steps, it would add its size to the
-    peak of the next backward.
+    theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps) runs as in-place ufuncs,
+    in the order that expression evaluates, over slices of ADAM_CHUNK
+    elements of each (C-contiguous) tensor, with the two rows of one
+    2 x ADAM_CHUNK scratch buffer as temporaries. A slice's gradient,
+    moments, parameters and scratch stay in cache between ufuncs, no
+    temporary is allocated per tensor, and each element sees the same
+    operations as in the expression, so the result is bit-identical to it.
     """
     steps = [(n, grads[n]) for n in params.trainable_names() if grads.get(n) is not None]
     for name, g in steps:
@@ -111,24 +117,25 @@ def adam_step(
     scratch = None
     for name, g in steps:
         if scratch is None or scratch.dtype != g.dtype:
-            scratch = np.empty((2, max(other.size for _, other in steps)), g.dtype)
-        theta = params.data(name)
-        m, v = state.m[name], state.v[name]
-        a, b = (row[: g.size].reshape(g.shape) for row in scratch)
-        np.multiply(g, 1.0 - b1, out=a)
-        m *= b1
-        m += a
-        np.square(g, out=a)
-        a *= 1.0 - b2
-        v *= b2
-        v += a
-        np.divide(m, bc1, out=a)
-        a *= cfg.learning_rate
-        np.divide(v, bc2, out=b)
-        np.sqrt(b, out=b)
-        b += cfg.adam_eps
-        a /= b
-        theta -= a
+            scratch = np.empty((2, ADAM_CHUNK), g.dtype)
+        flat = [t.reshape(-1) for t in (g, params.data(name), state.m[name], state.v[name])]
+        for start in range(0, g.size, ADAM_CHUNK):
+            gc, theta, m, v = (t[start : start + ADAM_CHUNK] for t in flat)
+            a, b = scratch[0, : gc.size], scratch[1, : gc.size]
+            np.multiply(gc, 1.0 - b1, out=a)
+            m *= b1
+            m += a
+            np.square(gc, out=a)
+            a *= 1.0 - b2
+            v *= b2
+            v += a
+            np.divide(m, bc1, out=a)
+            a *= cfg.learning_rate
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += cfg.adam_eps
+            a /= b
+            theta -= a
     return params, state
 
 

@@ -176,14 +176,22 @@ class Volume(_Stack):
 
 
 class MaskVolume(_Stack):
-    """A binary annotation stack aligned with a Volume."""
+    """A binary annotation stack aligned with a Volume, as uint8 voxels in {0, 1}.
+
+    A bool array holds only 0 and 1 by type, so it is stored as its uint8
+    view: no copy and no value scan. Any other array is converted to uint8
+    and every voxel is checked; one outside {0, 1} raises InvalidLabel.
+    """
 
     _dtype = np.dtype(np.uint8)
     _filename = MASK_FILENAME
 
     def __post_init__(self):
+        is_bool = isinstance(self.voxels, np.ndarray) and self.voxels.dtype == bool
+        if is_bool:
+            self.voxels = self.voxels.view(np.uint8)
         super().__post_init__()
-        if self.voxels.max(initial=0) > 1:
+        if not is_bool and self.voxels.max(initial=0) > 1:
             bad = np.count_nonzero(self.voxels > 1)
             raise InvalidLabel(f"{bad} mask voxels are neither 0 nor 1")
 

@@ -59,6 +59,50 @@ def test_track_flow(tmp_path):
     assert any(e["kind"] == "lost" and e["z"] == 4 for e in payload)
 
 
+@pytest.fixture(scope="module")
+def track_phantom(tmp_path_factory):
+    vol_dir = tmp_path_factory.mktemp("track") / "vol"
+    assert run("phantom", "--out", str(vol_dir), "--seed", "3", "--slices", "6", "--size", "32").exit_code == 0
+    return vol_dir
+
+
+def _track(vol_dir, out, *window):
+    return run("track", "--volume", str(vol_dir), "--seed-point", "16,16", *window,
+               "--out", str(out), "--events", str(out.parent / f"{out.name}.json"))
+
+
+@pytest.mark.parametrize("t_lo, t_hi", [
+    ("-inf", "500"), ("-1e3", "500"), ("-1E3", "inf"), ("-Infinity", "5e2"), ("-.5e2", "500"),
+])
+def test_track_takes_a_negative_float_threshold_as_its_own_token(track_phantom, tmp_path, capsys, t_lo, t_hi):
+    """argparse reads "-inf" or "-1e3" after a flag as another flag; the track
+    command takes it as the threshold, as it takes "--t-lo=-inf"."""
+    result = _track(track_phantom, tmp_path / "spaced", "--t-lo", t_lo, "--t-hi", t_hi)
+    assert result.exit_code == 0, capsys.readouterr().err
+    config = json.loads((tmp_path / "spaced" / "effective_config.json").read_text())
+    assert (config["t_lo"], config["t_hi"]) == (float(t_lo), float(t_hi))
+    assert _track(track_phantom, tmp_path / "joined", f"--t-lo={t_lo}", f"--t-hi={t_hi}").exit_code == 0
+    assert load_mask(tmp_path / "spaced").voxels.tobytes() == load_mask(tmp_path / "joined").voxels.tobytes()
+
+
+@pytest.mark.parametrize("t_lo, t_hi, needle", [
+    ("-nan", "500", "threshold window needs numbers"),
+    ("200", "-1e3", "threshold window needs numbers"),
+    ("-inf", "-1e3", "outside window"),  # a valid window, but the seed pixel lies above it
+])
+def test_track_rejects_a_bad_negative_threshold_by_its_value(track_phantom, tmp_path, capsys, t_lo, t_hi, needle):
+    result = _track(track_phantom, tmp_path / "o", "--t-lo", t_lo, "--t-hi", t_hi)
+    err = capsys.readouterr().err
+    assert result.exit_code == 1 and err.startswith("vesselseg: ") and needle in err, err
+    assert not (tmp_path / "o").exists()
+
+
+def test_track_rejects_nan_thresholds(track_phantom, tmp_path, capsys):
+    for window in (["--t-lo", "nan", "--t-hi", "500"], ["--t-lo", "200", "--t-hi", "nan"]):
+        assert _track(track_phantom, tmp_path / "o", *window).exit_code == 1
+        assert "threshold window needs numbers" in capsys.readouterr().err
+
+
 MICRO_CONFIG = {
     "model": {"input_hw": 32, "encoder_widths": [8, 8, 16, 32, 64],
               "decoder_widths": [32, 16, 8, 4], "bridge_layers": 1,

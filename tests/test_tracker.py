@@ -101,6 +101,32 @@ def region_map(hu_slice, window, seed, y=0, x=0):
     return paste(box, hu_slice.shape)
 
 
+def _record_label(monkeypatch, what):
+    """Record what(image, n_labels) for each ndimage.label call, in call order."""
+    records = []
+    real_label = ndimage.label
+
+    def recording_label(image, structure=None):
+        labels, n_labels = real_label(image, structure=structure)
+        records.append(what(image, n_labels))
+        return labels, n_labels
+
+    monkeypatch.setattr(ndimage, "label", recording_label)
+    return records
+
+
+@pytest.fixture
+def label_shapes(monkeypatch):
+    """The shapes of the images ndimage.label is called on, in call order."""
+    return _record_label(monkeypatch, lambda image, n_labels: image.shape)
+
+
+@pytest.fixture
+def label_counts(monkeypatch):
+    """The component counts ndimage.label returns, in call order."""
+    return _record_label(monkeypatch, lambda image, n_labels: n_labels)
+
+
 def drawn(draw, shape, joined_by):
     """draw(shape) as drawn (solid shapes, joined_by 4), or for joined_by 8
     drawn at half size with each pixel blown up to the main diagonal of a 2x2
@@ -354,6 +380,65 @@ def test_windowed_region_seed_in_two_far_apart_components(shape, joined_by):
     assert got[6, 6] and got[h - 7, w - 7]
 
 
+def two_discs():
+    """Radius-6 discs centered at (24, 12) and (24, 36) of a 48 x 48 slice, by name."""
+    yy, xx = np.mgrid[0:48, 0:48]
+    return {"left": (yy - 24) ** 2 + (xx - 12) ** 2 < 36, "right": (yy - 24) ** 2 + (xx - 36) ** 2 < 36}
+
+
+@pytest.mark.parametrize("discs, seed_pixels, first_count, kept", [
+    (["left"], [(24, 12)], 1, True),  # one component, hit
+    (["left"], [(24, 24), (24, 36)], 1, False),  # one component (a sliver of the left disc), missed
+    (["left", "right"], [(24, 24), (24, 36)], 2, True),  # two components, the left one missed
+    (["left", "right"], [(24, 12), (24, 36)], 2, True),  # two components, both hit
+    ([], [(24, 12)], 0, False),  # no component
+])
+def test_connected_region_branches_match_the_oracle(label_counts, discs, seed_pixels, first_count, kept):
+    """Each branch of the per-box step against whole-slice labelling: one
+    component (the window mask, or None) and none or two (labels looked up
+    under the seed). first_count is the first box's label count."""
+    shapes = two_discs()
+    in_window = np.zeros((48, 48), dtype=bool)
+    for name in discs:
+        in_window |= shapes[name]
+    seed = np.zeros((48, 48), dtype=bool)
+    seed[tuple(zip(*seed_pixels))] = True
+    hu = np.where(in_window, HU_IN, HU_OUT)
+    got = connected_region(hu, (200, 500), seed)
+    want = _full_slice_box(hu, (200, 500), seed)
+    assert label_counts[0] == first_count and (got is not None) == kept
+    if want is None:
+        assert got is None
+    else:
+        assert got[:2] == tuple(want[:2]) and got[2].tobytes() == want[2].tobytes()
+
+
+@pytest.mark.parametrize("shape", SLICE_SHAPES)
+def test_seeds_with_empty_edges_give_the_cropped_seeds_result(shape):
+    """A seed with an empty edge row or column is cropped to its pixels; the
+    region equals that of the cropped seed, and of whole-slice labelling."""
+    cases = 0
+    for name, in_window, seed in offset_drawings(shape):
+        hu = np.where(in_window, HU_IN, HU_OUT)
+        r0, c0, tight = crop(seed)
+        rows, cols = tight.shape
+        h, w = shape
+        for top, bottom, left, right in [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (2, 3, 1, 4)]:
+            y, x = r0 - top, c0 - left
+            if y < 0 or x < 0 or r0 + rows + bottom > h or c0 + cols + right > w:
+                continue
+            loose = seed[y : r0 + rows + bottom, x : c0 + cols + right]
+            got = connected_region(hu, (200, 500), loose, y, x)
+            want = connected_region(hu, (200, 500), tight, r0, c0)
+            oracle = _full_slice_box(hu, (200, 500), loose, y, x)
+            for box in (want, oracle):
+                assert (got is None) == (box is None), name
+                if got is not None:
+                    assert got[:2] == tuple(box[:2]) and got[2].tobytes() == box[2].tobytes(), name
+            cases += 1
+    assert cases > 50
+
+
 def clean_spec(**overrides):
     base = dict(dims=(24, 32, 32), seed=31, trunk_radius_px=7.0, branch_radius_px=3.0, bifurcation_z=12)
     base.update(overrides)
@@ -406,6 +491,12 @@ def test_track_deterministic():
     p2, e2 = track_volume(vol, cfg)
     assert np.array_equal(p1.voxels, p2.voxels)
     assert e1 == e2
+
+
+def test_track_volume_returns_uint8_voxels():
+    vol, _ = generate(clean_spec())
+    pred, _ = track_volume(vol, TrackerConfig(t_lo=200, t_hi=500, seed_point=(16, 16)))
+    assert pred.voxels.dtype == np.uint8 and np.unique(pred.voxels).tolist() == [0, 1]
 
 
 def test_track_seed_out_of_window():
@@ -503,20 +594,6 @@ def test_track_with_int16_bounds_equals_the_float_window_walk(monkeypatch, windo
                         lambda hu, _window, seed, y=0, x=0: _full_slice_box(hu, float_window, seed, y, x))
     want_pred, want_events = track_volume(vol, cfg)
     assert pred.voxels.tobytes() == want_pred.voxels.tobytes() and events == want_events
-
-
-@pytest.fixture
-def label_shapes(monkeypatch):
-    """The shapes of the images ndimage.label is called on, in call order."""
-    shapes = []
-    real_label = ndimage.label
-
-    def recording_label(image, structure=None):
-        shapes.append(image.shape)
-        return real_label(image, structure=structure)
-
-    monkeypatch.setattr(ndimage, "label", recording_label)
-    return shapes
 
 
 def test_track_labels_a_window_not_the_slice(label_shapes):

@@ -19,9 +19,10 @@ from vesselseg.errors import (
     ShapeMismatch,
     SizeMismatch,
 )
-from vesselseg.model import ParamStore, init_params, scaled_config, tiny_config
+from vesselseg.model import ModelConfig, ParamStore, init_params, scaled_config, tiny_config
 from vesselseg.phantom import PhantomSpec, generate
 from vesselseg.training import (
+    ADAM_CHUNK,
     AdamState,
     Fold,
     FoldPlan,
@@ -381,26 +382,103 @@ def _adam_reference(theta, m, v, g, t, cfg):
     theta -= cfg.learning_rate * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + cfg.adam_eps)
 
 
+def _assert_adam_matches_the_expression(store, grads_at, steps, cfg):
+    """adam_step on store for steps steps, grads_at(t) the gradients of step t,
+    against _adam_reference on copies: parameters and both moments bitwise."""
+    names = store.trainable_names()
+    want = {n: store.data(n).copy() for n in names}
+    moments = {n: (np.zeros_like(want[n]), np.zeros_like(want[n])) for n in names}
+    state = AdamState.for_params(store)
+    for t in range(1, steps + 1):
+        grads = grads_at(t)
+        adam_step(store, grads, state, cfg)
+        for n, g in grads.items():
+            _adam_reference(want[n], *moments[n], g, t, cfg)
+        for n in names:
+            assert store.data(n).tobytes() == want[n].tobytes(), (t, n)
+            assert state.m[n].tobytes() == moments[n][0].tobytes(), (t, n)
+            assert state.v[n].tobytes() == moments[n][1].tobytes(), (t, n)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_adam_step_in_scratch_is_bit_identical_to_the_expression(dtype):
     rng = np.random.default_rng(8)
     shapes = {"a": (3, 4), "b": (17,), "c": (2, 3, 3, 3), "d": ()}
     store = ParamStore(tiny_config(), {n: Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
                                        for n, s in shapes.items()})
-    want = {n: store.data(n).copy() for n in shapes}
-    moments = {n: (np.zeros(s, dtype), np.zeros(s, dtype)) for n, s in shapes.items()}
-    state = AdamState.for_params(store)
-    cfg = TrainConfig(learning_rate=3e-3)
-    for t in range(1, 6):
+
+    def grads_at(t):
         grads = {n: rng.normal(size=s).astype(dtype) for n, s in shapes.items()}
         if t == 3:
             del grads["c"]  # a parameter without a gradient keeps its moments
-        adam_step(store, grads, state, cfg)
-        for n, g in grads.items():
-            _adam_reference(want[n], *moments[n], g, t, cfg)
-        for n in shapes:
-            assert store.data(n).tobytes() == want[n].tobytes(), (t, n)
-            assert state.m[n].tobytes() == moments[n][0].tobytes()
+        return grads
+
+    _assert_adam_matches_the_expression(store, grads_at, 5, TrainConfig(learning_rate=3e-3))
+
+
+@pytest.mark.parametrize("size", [ADAM_CHUNK - 1, ADAM_CHUNK, ADAM_CHUNK + 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_step_at_chunk_boundaries_is_bit_identical_to_the_expression(size, dtype):
+    """Tensors just under, at and just over one chunk, flat and 4-d, next to
+    a tensor of several chunks: the last, partial chunk included."""
+    rng = np.random.default_rng([size, np.dtype(dtype).itemsize])
+    shapes = {"flat": (size,), "conv": (size, 1, 1, 1), "several": (3 * ADAM_CHUNK + 5,), "small": (7,)}
+    store = ParamStore(tiny_config(), {n: Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+                                       for n, s in shapes.items()})
+
+    def grads_at(t):
+        return {n: rng.normal(size=s).astype(dtype) for n, s in shapes.items()}
+
+    _assert_adam_matches_the_expression(store, grads_at, 3, TrainConfig(learning_rate=3e-3))
+
+
+def test_adam_step_on_the_full_width_store_is_bit_identical_to_the_expression():
+    """Two steps on the paper-width store (35.1 M float32 parameters). The
+    gradients are windows of one noise buffer, so they take no store-sized
+    memory of their own."""
+    store = init_params(ModelConfig(), seed=0)
+    names = store.trainable_names()
+    noise = np.random.default_rng(12).standard_normal(
+        max(store.data(n).size for n in names) + len(names) + 2, dtype=np.float32
+    )
+
+    def grads_at(t):
+        shapes = {n: store.data(n).shape for n in names}
+        return {n: noise[i + t : i + t + int(np.prod(s))].reshape(s) for i, (n, s) in enumerate(shapes.items())}
+
+    _assert_adam_matches_the_expression(store, grads_at, 2, TrainConfig())
+
+
+_ADAM_STEP_512 = """
+import time
+import numpy as np
+from vesselseg.model import ModelConfig, init_params
+from vesselseg.training import AdamState, TrainConfig, adam_step
+
+params = init_params(ModelConfig(), seed=0)  # the paper-width store, 35.1 M parameters
+state = AdamState.for_params(params)
+rng = np.random.default_rng(0)
+grads = {n: rng.standard_normal(params.data(n).shape, dtype=np.float32) for n in params.trainable_names()}
+times = []
+for _ in range(6):  # the first call warms up
+    start = time.perf_counter()
+    adam_step(params, grads, state, TrainConfig())
+    times.append(time.perf_counter() - start)
+if not all(np.isfinite(params.data(n)).all() for n in params.trainable_names()):
+    raise SystemExit("non-finite parameters")
+print(float(np.median(times[1:])))  # seconds per adam_step
+"""
+
+
+def test_full_width_adam_step_runs_in_a_fresh_process():
+    """adam_step on the paper-width store, as CI times it: finite parameters
+    and a positive median time."""
+    env = dict(os.environ, PYTHONPATH=str(Path(vesselseg.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ADAM_STEP_512], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert float(proc.stdout.split()[-1]) > 0
 
 
 def test_a_study_train_step_looks_up_blas_gemm_once_per_dtype(monkeypatch):

@@ -124,13 +124,27 @@ def test_all_zero_mask_file_bytes(tmp_path):
     assert (tmp_path / "meta.json").is_file()
 
 
-def test_mask_invalid_label(tmp_path):
+@pytest.mark.parametrize("byte", [2, 255])
+def test_mask_invalid_label(tmp_path, byte):
     _write_meta(tmp_path)
-    (tmp_path / "mask.raw").write_bytes(b"\x02")
+    (tmp_path / "mask.raw").write_bytes(bytes([byte]))
     with pytest.raises(InvalidLabel):
         load_mask(tmp_path)
     with pytest.raises(InvalidLabel):
-        MaskVolume(meta=VolumeMeta(1, 1, 1), voxels=np.array([[[2]]], dtype=np.uint8))
+        MaskVolume(meta=VolumeMeta(1, 1, 1), voxels=np.array([[[byte]]], dtype=np.uint8))
+
+
+def test_a_bool_mask_is_stored_as_its_uint8_view_without_a_value_scan():
+    """A bool array holds only 0 and 1 by type: MaskVolume keeps it as a
+    uint8 view of the same memory and reads none of its bytes. The bytes
+    below are 2, which a scan would reject, behind a bool view."""
+    raw = np.full((2, 3, 4), 2, dtype=np.uint8)
+    voxels = raw.view(bool)
+    mask = MaskVolume(meta=VolumeMeta(height=3, width=4, num_slices=2), voxels=voxels)
+    assert mask.voxels.dtype == np.uint8 and mask.voxels.shape == (2, 3, 4)
+    assert np.shares_memory(mask.voxels, raw) and mask.voxels.max() == 2  # not copied, not scanned
+    sliced = np.zeros((2, 6, 4), dtype=bool)[:, ::2]  # a strided bool view is kept as a view too
+    assert np.shares_memory(MaskVolume(meta=VolumeMeta(3, 4, 2), voxels=sliced).voxels, sliced)
 
 
 def test_volume_shape_guard():
