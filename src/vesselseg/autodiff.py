@@ -187,8 +187,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -394,13 +392,11 @@ def matmul(a, b) -> Tensor:
     return _make(_bmm(a.data, b.data), [(a, vjp_a), (b, vjp_b)])
 
 
-def linear(x, weight, bias=None) -> Tensor:
+def linear(x, weight, bias) -> Tensor:
     """y = x @ weight.T + bias with weight stored (out_features, in_features)."""
     weight = as_tensor(weight)
     y = matmul(x, transpose(weight, (1, 0)))
-    if bias is not None:
-        y = add(y, bias)
-    return y
+    return add(y, bias)
 
 
 # -- activations -----------------------------------------------------------
@@ -793,8 +789,9 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     return _make(out_data, inputs)
 
 
-def max_pool2d(x, kernel: int = 3, stride: int = 2, padding: int = 1) -> Tensor:
-    """Max over kernel windows of an NHWC map; padding uses -inf so it never wins.
+def max_pool2d(x) -> Tensor:
+    """Max over 3x3 windows of an NHWC map at stride 2 with padding 1, the
+    encoder's pool; padding uses -inf so it never wins.
 
     The -inf-padded input is split into stride phases (_phase_split), so
     every window position is a unit-stride view, and forward is one
@@ -808,9 +805,9 @@ def max_pool2d(x, kernel: int = 3, stride: int = 2, padding: int = 1) -> Tensor:
     if d.ndim != 4:
         raise ShapeMismatch(f"max_pool2d expects NHWC, got {d.shape}")
     n, h, w, c = d.shape
+    kernel, s, padding = 3, 2, 1
     if h + 2 * padding < kernel or w + 2 * padding < kernel:
         raise ShapeMismatch(f"pool window {kernel} exceeds padded input {d.shape}")
-    s = stride
     oh = _conv_out_size(h, kernel, s, padding)
     ow = _conv_out_size(w, kernel, s, padding)
     taps = [(i, j) for i in range(kernel) for j in range(kernel)]

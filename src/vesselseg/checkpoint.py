@@ -137,5 +137,4 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     for (_, stop, first), (start, _, second) in zip(spans, spans[1:]):
         if start < stop:
             raise ManifestMismatch(f"{path}: tensors {first} and {second} overlap in the data section")
-    store.validate_manifest()
     return Checkpoint(config=config, params=store, meta=meta)

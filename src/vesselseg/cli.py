@@ -28,6 +28,7 @@ from .volume_io import (
     HuWindow,
     MaskVolume,
     Volume,
+    check_output_dirs,
     load_mask,
     load_volume,
     make_output_dir,
@@ -179,10 +180,11 @@ def _cmd_train(args) -> CommandResult:
 
 
 def _cmd_eval(args) -> CommandResult:
+    report_path = Path(args.report)
+    check_output_dirs(report_path.parent)
     ckpt = load_checkpoint(args.ckpt)
     patients = [_load_patient(d) for d in args.data]
     report = evaluate(ckpt, patients)
-    report_path = Path(args.report)
     make_output_dir(report_path.parent)
     report_path.write_text(report.to_json() + "\n", encoding="utf-8")
     _write_effective_config(
@@ -194,6 +196,7 @@ def _cmd_eval(args) -> CommandResult:
 
 
 def _cmd_predict(args) -> CommandResult:
+    check_output_dirs(args.out, args.overlay_dir)
     ckpt = load_checkpoint(args.ckpt)
     volume = load_volume(args.volume)
     window = checkpoint_window(ckpt)
@@ -226,10 +229,11 @@ def _cmd_xval(args) -> CommandResult:
     root = Path(args.data_root)
     if not root.is_dir():
         raise MissingFile(f"--data-root {root} is not a directory")
+    report_path = Path(args.report)
+    check_output_dirs(report_path.parent)
     patient_dirs = sorted(d for d in root.iterdir() if d.is_dir())
     patients = [_load_patient(d) for d in patient_dirs]
     result = cross_validate(model_cfg, train_cfg, patients, fold_sizes=args.folds)
-    report_path = Path(args.report)
     make_output_dir(report_path.parent)
     payload = {
         "folds": [json.loads(r.to_json()) for r in result.fold_reports],
@@ -255,12 +259,13 @@ def _cmd_xval(args) -> CommandResult:
 
 
 def _cmd_track(args) -> CommandResult:
+    events_path = Path(args.events)
+    check_output_dirs(args.out, events_path.parent)
     volume = load_volume(args.volume)
     cfg = TrackerConfig(t_lo=args.t_lo, t_hi=args.t_hi, seed_point=args.seed_point)
     mask, events = track_volume(volume, cfg)
     out = Path(args.out)
     save_mask(mask, out)
-    events_path = Path(args.events)
     make_output_dir(events_path.parent)
     events_path.write_text(events_to_json(events) + "\n", encoding="utf-8")
     _write_effective_config(
@@ -396,3 +401,7 @@ def dispatch(argv: list[str]) -> CommandResult:
 def main(argv: list[str] | None = None) -> None:
     result = dispatch(sys.argv[1:] if argv is None else argv)
     sys.exit(result.exit_code)
+
+
+if __name__ == "__main__":
+    main()

@@ -63,20 +63,20 @@ def _counts(pred: np.ndarray, gt: np.ndarray) -> tuple[int, int, int]:
     return inter, int(pred.sum()), int(gt.sum())
 
 
-def iou_metric(pred, gt, empty_value: float = 1.0) -> float:
-    """|P & G| / |P | G|; both masks empty scores empty_value."""
+def iou_metric(pred, gt) -> float:
+    """|P & G| / |P | G|; both masks empty scores 1.0."""
     inter, np_, ng = _counts(pred, gt)
     union = np_ + ng - inter
     if union == 0:
-        return empty_value
+        return 1.0
     return inter / union
 
 
-def dice_metric(pred, gt, empty_value: float = 1.0) -> float:
-    """2 |P & G| / (|P| + |G|); both masks empty scores empty_value."""
+def dice_metric(pred, gt) -> float:
+    """2 |P & G| / (|P| + |G|); both masks empty scores 1.0."""
     inter, np_, ng = _counts(pred, gt)
     if np_ + ng == 0:
-        return empty_value
+        return 1.0
     return 2.0 * inter / (np_ + ng)
 
 

@@ -240,21 +240,6 @@ class ParamStore:
         out = {n: Tensor(t.data.copy(), requires_grad=t.requires_grad) for n, t in self.tensors.items()}
         return ParamStore(self.config, out)
 
-    def validate_manifest(self) -> None:
-        manifest = param_manifest(self.config)
-        expected = {e.name: e.shape for e in manifest}
-        got = {n: tuple(t.data.shape) for n, t in self.tensors.items()}
-        if expected != got:
-            missing = sorted(set(expected) - set(got))
-            extra = sorted(set(got) - set(expected))
-            wrong = sorted(
-                n for n in set(expected) & set(got) if expected[n] != got[n]
-            )
-            raise ShapeMismatch(
-                f"parameter store does not match manifest "
-                f"(missing {missing[:4]}, extra {extra[:4]}, reshaped {wrong[:4]})"
-            )
-
 
 def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParamStore:
     """Fresh parameters: Kaiming-uniform convolutions, normal(0, 0.02)
@@ -326,7 +311,7 @@ def encoder_forward(
     cfg = ps.config
     stem = partial(ad.conv2d, x, stride=2, padding=3)
     s1 = ad.relu(conv_bn(stem, ps, "encoder.stem.conv.weight", "encoder.stem.bn", training))
-    y = ad.max_pool2d(s1, kernel=3, stride=2, padding=1)
+    y = ad.max_pool2d(s1)
     skips = [s1]
     for li, blocks in enumerate(cfg.encoder_block_counts, start=1):
         for bi in range(blocks):
@@ -450,7 +435,7 @@ def model_logits(x, ps: ParamStore, mode: str = "eval") -> Tensor:
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     training = mode == "train"
     cfg = ps.config
-    data = x.data if isinstance(x, Tensor) else np.asarray(x)
+    data = np.asarray(x)
     if data.ndim != 4 or data.shape[3] != cfg.in_channels:
         raise ShapeMismatch(f"expected (batch, H, W, 3) input, got {data.shape}")
     if data.shape[1] != cfg.input_hw or data.shape[2] != cfg.input_hw:
@@ -458,7 +443,7 @@ def model_logits(x, ps: ParamStore, mode: str = "eval") -> Tensor:
             f"input is {data.shape[1]}x{data.shape[2]} but the config wants "
             f"{cfg.input_hw}x{cfg.input_hw}"
         )
-    bridge_in, skips = encoder_forward(x if isinstance(x, Tensor) else Tensor(data), ps, training)
+    bridge_in, skips = encoder_forward(Tensor(data), ps, training)
     _check_finite("encoder", bridge_in)
     bridged = bridge_forward(bridge_in, ps)
     _check_finite("bridge", bridged)

@@ -19,14 +19,12 @@ The walk carries the region in box form, (y, x, mask) with mask cropped
 to the region's bounding box, from the seed pixel on slice 0 on.
 connected_region labels only that box grown by WINDOW_MARGIN_PX and
 doubles the margin while the kept region reaches an inner edge of the
-box, so its result always equals labelling the whole slice. Each step
-does only the work its answer depends on: a box that labels as one
-component is the region itself (or nothing, if no seed pixel lies in it),
-so labels are looked up under the seed only when there are two or more,
-and the carried mask is already tight, so the seed is cropped only when an
-edge row or column of it is empty. The window is applied as int16 bounds
-[ceil(t_lo), floor(t_hi)], which select the same int16 voxels as the float
-window, and the output is built as bool, which MaskVolume takes unscanned.
+box, so its result always equals labelling the whole slice. A box that
+labels as one component is the region itself (or nothing, if no seed
+pixel lies in it), so labels are looked up under the seed only when there
+are two or more. The window is applied as int16 bounds [ceil(t_lo),
+floor(t_hi)], which select the same int16 voxels as the float window, and
+the output is built as bool, which MaskVolume takes unscanned.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from .volume_io import MaskVolume, Volume, is_int
 EVENT_LOST = "lost"
 EVENT_BONE_MERGE = "bone_merge_suspect"
 
-# Pixels added on each side of the seed's bounding box before labelling.
+# Pixels added on each side of the seed's box before labelling.
 WINDOW_MARGIN_PX = 8
 # A region more than this many times the previous slice's area is a suspected bone merge.
 MAX_AREA_GROWTH = 4.0
@@ -85,32 +83,24 @@ def connected_region(
     the defaults take a full-size seed. A component survives iff at least
     one of its pixels is set in seed. The union of survivors is returned as
     (y, x, mask): mask is cropped to the survivors' bounding box and its
-    top-left pixel sits at (y, x). None means no component survives. A seed
-    with a pixel in each edge row and column (such as a returned mask) is
-    used as it is; any other seed is first cropped to its bounding box.
+    top-left pixel sits at (y, x). None means no component survives.
 
-    Only the seed's bounding box grown by WINDOW_MARGIN_PX is labelled. A
-    kept component (one that holds a seed pixel) which touches none of the
-    box's inner edges (edges that are not slice edges) has all its
-    neighbours inside the box, so it is a whole component of the slice;
-    components without a seed pixel never survive. If the kept region's
-    bounding box reaches an inner edge, the margin doubles and the larger
-    box is labelled, at worst the whole slice, so the result always equals
-    labelling the whole slice. A box that labels as one component needs no
-    lookup: the in-window mask is the region when a seed pixel lies in it,
-    and nothing survives otherwise.
+    Only the seed's box (the part of the slice the seed array covers) grown
+    by WINDOW_MARGIN_PX is labelled; a seed with empty edge rows or columns
+    just starts from a larger box. A kept component (one that holds a seed
+    pixel) which touches none of the box's inner edges (edges that are not
+    slice edges) has all its neighbours inside the box, so it is a whole
+    component of the slice; components without a seed pixel never survive.
+    If the kept region's bounding box reaches an inner edge, the margin
+    doubles and the larger box is labelled, at worst the whole slice, so
+    the result always equals labelling the whole slice. A box that labels
+    as one component needs no lookup: the in-window mask is the region when
+    a seed pixel lies in it, and nothing survives otherwise.
 
     The window is compared with the slice's own dtype, so track_volume
     passes int16 bounds for its int16 voxels (no float copy of each box).
     """
     seed = np.asarray(seed, dtype=bool)
-    if not (seed.size and seed[0].any() and seed[-1].any() and seed[:, 0].any() and seed[:, -1].any()):
-        bounds = _bounds(seed)  # an edge row or column is empty: crop the seed to its pixels
-        if bounds is None:
-            return None
-        r0, r1, c0, c1 = bounds
-        seed = seed[r0:r1, c0:c1]
-        y, x = y + r0, x + c0
     h, w = hu_slice.shape
     t_lo, t_hi = window
     margin = WINDOW_MARGIN_PX

@@ -36,7 +36,7 @@ from .losses import bcej_loss  # noqa: F401  perfbench wraps it here
 from .model import ModelConfig, ParamStore, init_params, model_input, model_logits
 from .model import model_forward  # noqa: F401  perfbench wraps it here
 from .model import predict_probabilities, segment_volume
-from .volume_io import DictConfig, HuWindow, MaskVolume, Volume
+from .volume_io import DictConfig, HuWindow, MaskVolume, Volume, is_finite_number, is_int
 from .volume_io import normalize_slice, to_model_input  # noqa: F401  perfbench wraps them here
 
 Patient = tuple[Volume, MaskVolume]
@@ -216,7 +216,6 @@ class RunLog:
     entries: list[EpochStats] = field(default_factory=list)
     step_losses: list[float] = field(default_factory=list)  # first 16 steps
     wall_clock_sec: float = 0.0
-    seed: int = 0
 
     def to_jsonl(self) -> str:
         return "".join(json.dumps(asdict(e)) + "\n" for e in self.entries)
@@ -288,7 +287,7 @@ def train(
         "hu_window": train_cfg.hu_window.to_pair(),
         "train_config": train_cfg.to_dict(),
     }
-    log = RunLog(seed=train_cfg.seed)
+    log = RunLog()
     if train_cfg.epochs == 0:
         log.wall_clock_sec = time.time() - started
         return Checkpoint(config=model_cfg, params=params, meta=meta), log
@@ -456,6 +455,10 @@ def grad_check(
     corrupt names a parameter whose analytic gradient is doubled, as a
     self-test that the checker catches wrong gradients.
     """
+    if not (is_int(n_samples) and n_samples >= 1):
+        raise ConfigInvalid(f"n_samples must be an int >= 1, got {n_samples!r}")
+    if not (is_finite_number(tol) and tol > 0):
+        raise ConfigInvalid(f"tol must be a finite number > 0, got {tol!r}")
     rng = np.random.default_rng(seed)
     params = init_params(model_cfg, seed, dtype=np.float64)
     hw = model_cfg.input_hw

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_origin, get_type_hints
@@ -229,6 +230,19 @@ def make_output_dir(directory: str | Path) -> Path:
     except OSError as exc:
         raise OutputNotWritable(f"cannot create output directory {directory}: {exc.strerror}") from exc
     return directory
+
+
+def check_output_dirs(*directories: str | Path | None) -> None:
+    """Raise OutputNotWritable unless the nearest existing path on the way to
+    each directory that is not None is a directory this process can write.
+    Creates nothing, so a run that a later check rejects leaves no directory."""
+    for directory in filter(None, directories):
+        path = Path(directory).absolute()
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+            raise OutputNotWritable(
+                f"cannot create output directory {directory}: {existing} is not a writable directory"
+            )
 
 
 def _save(stack: _Stack, directory: str | Path) -> None:

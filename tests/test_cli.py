@@ -228,6 +228,22 @@ def test_gradcheck_command(capsys):
     assert out["max_rel_err"] <= 1e-4
 
 
+@pytest.mark.parametrize("flags, name", [
+    (["--samples", "0"], "n_samples"),
+    (["--samples", "-3"], "n_samples"),
+    (["--samples", "12", "--tol", "-1"], "tol"),
+    (["--samples", "12", "--tol", "0"], "tol"),
+    (["--samples", "12", "--tol", "nan"], "tol"),
+    (["--samples", "12", "--tol", "inf"], "tol"),
+])
+def test_gradcheck_rejects_a_bad_sample_count_or_tolerance(capsys, flags, name):
+    result = run("gradcheck", *flags)
+    err = capsys.readouterr().err
+    assert result.exit_code == 1, err
+    assert err.startswith("vesselseg: ") and name in err, err
+    assert "Traceback" not in err and "gradient check failed" not in err
+
+
 def test_train_negative_epochs_exits_1(trained, tmp_path, capsys):
     root, data, _ = trained
     result = run("train", "--data", str(data), "--config", str(root / "cfg.json"),
@@ -474,6 +490,54 @@ def test_missing_or_unwritable_paths_exit_1(trained, tmp_path, capsys):
         assert err.startswith("vesselseg: ") and needle in err and "Traceback" not in err, err
 
 
+@pytest.mark.parametrize("command, flag, expensive", [
+    ("predict", "--out", "segment_volume"),
+    ("predict", "--overlay-dir", "segment_volume"),
+    ("track", "--out", "track_volume"),
+    ("track", "--events", "track_volume"),
+    ("eval", "--report", "evaluate"),
+    ("xval", "--report", "cross_validate"),
+])
+def test_an_output_under_a_regular_file_fails_before_the_work(trained, tmp_path, capsys, monkeypatch,
+                                                              command, flag, expensive):
+    """The output's parent is a file: the command exits 1 before its
+    expensive call and writes nothing."""
+    import vesselseg.cli as cli
+
+    _, data, out = trained
+    root = tmp_path / "root"
+    assert run("phantom", "--out", str(root / "p00"), "--slices", "4", "--size", "32").exit_code == 0
+    afile = tmp_path / "afile"
+    afile.touch()
+    outputs = {
+        "predict": {"--out": tmp_path / "pred", "--overlay-dir": tmp_path / "ppm"},
+        "track": {"--out": tmp_path / "trk", "--events": tmp_path / "e.json"},
+        "eval": {"--report": tmp_path / "r.json"},
+        "xval": {"--report": tmp_path / "x.json"},
+    }[command]
+    outputs[flag] = afile / outputs[flag].name
+    inputs = {
+        "predict": ["--ckpt", str(out / "model.ckpt"), "--volume", str(data)],
+        "track": ["--volume", str(data), "--seed-point", "16,16", "--t-lo", "200", "--t-hi", "500"],
+        "eval": ["--ckpt", str(out / "model.ckpt"), "--data", str(data)],
+        "xval": ["--data-root", str(root), "--folds", "1"],
+    }[command]
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(expensive)
+        raise AssertionError(f"{expensive} ran")
+
+    monkeypatch.setattr(cli, expensive, spy)
+    before = sorted(tmp_path.rglob("*"))
+    result = run(command, *inputs, *[v for f, path in outputs.items() for v in (f, str(path))])
+    err = capsys.readouterr().err
+    assert result.exit_code == 1, err
+    assert err.startswith("vesselseg: ") and f"{afile} is not a writable directory" in err, err
+    assert "Traceback" not in err and calls == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_a_plain_value_error_is_a_bug_and_exits_2(tmp_path, capsys, monkeypatch):
     import vesselseg.cli as cli
 
@@ -485,3 +549,28 @@ def test_a_plain_value_error_is_a_bug_and_exits_2(tmp_path, capsys, monkeypatch)
     err = capsys.readouterr().err
     assert result.exit_code == 2
     assert "Traceback" in err and "a bug, not a malformed input" in err
+
+
+def _module_cli(cwd, *argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(vesselseg.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", *argv], cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("module", ["vesselseg", "vesselseg.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    """python -m vesselseg (and -m vesselseg.cli) write what dispatch writes,
+    and a bad flag exits 1."""
+    flags = ["--slices", "4", "--size", "32", "--seed", "3", "--occlusion", "1:2"]
+    assert run("phantom", "--out", str(tmp_path / "direct" / "p"), *flags).exit_code == 0
+    (tmp_path / "module").mkdir()
+    proc = _module_cli(tmp_path / "module", module, "phantom", "--out", "p", *flags)
+    assert proc.returncode == 0, proc.stderr
+    direct = sorted(p.relative_to(tmp_path / "direct") for p in (tmp_path / "direct").rglob("*"))
+    assert sorted(p.relative_to(tmp_path / "module") for p in (tmp_path / "module").rglob("*")) == direct
+    for name in direct:
+        if name.suffix in (".raw", ".json") and name.name != "effective_config.json":  # that records --out
+            assert (tmp_path / "module" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes(), name
+    proc = _module_cli(tmp_path, module, "phantom", "--out", "q", "--nope")
+    assert proc.returncode == 1 and "--nope" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "q").exists()

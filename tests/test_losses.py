@@ -92,7 +92,7 @@ def test_metric_examples():
     assert iou_metric(pred, gt) == pytest.approx(1 / 3)
     assert dice_metric(pred, gt) == pytest.approx(0.5)
     assert iou_metric(np.zeros(4), np.zeros(4)) == 1.0
-    assert iou_metric(np.zeros(4), np.zeros(4), empty_value=0.0) == 0.0
+    assert dice_metric(np.zeros(4), np.zeros(4)) == 1.0
 
 
 def test_metric_oracle_equivalence_and_identity():

@@ -105,13 +105,8 @@ def test_init_deterministic_per_seed():
 def test_manifest_matches_store():
     cfg = tiny_config()
     ps = init_params(cfg, 0)
-    ps.validate_manifest()
     manifest = {e.name: e.shape for e in param_manifest(cfg)}
     assert {n: tuple(t.data.shape) for n, t in ps.tensors.items()} == manifest
-    # mutating a shape breaks the manifest
-    ps.tensors["head.conv.bias"] = Tensor(np.zeros(2))
-    with pytest.raises(ShapeMismatch):
-        ps.validate_manifest()
 
 
 def test_bridge_absent_when_zero_layers():
@@ -698,9 +693,18 @@ def _bool_shape(tensors, data_len):
     tensors["head.conv.bias"]["shape"] = [True]
 
 
+def _extra_tensor(tensors, data_len):
+    tensors["head.conv.extra"] = {"dtype": "f32", "shape": [1], "offset": 0}
+
+
+def _wrong_integer_shape(tensors, data_len):
+    tensors["head.conv.bias"]["shape"] = [2]
+
+
 @pytest.mark.parametrize(
     "edit",
-    [_negative_offset, _offset_past_end, _fractional_offset, _aliased_offsets, _float_shape, _bool_shape],
+    [_negative_offset, _offset_past_end, _fractional_offset, _aliased_offsets, _float_shape, _bool_shape,
+     _extra_tensor, _wrong_integer_shape],
 )
 def test_checkpoint_rejects_bad_tensor_entries(tmp_path, capsys, edit):
     good = tmp_path / "good.ckpt"

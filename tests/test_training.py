@@ -13,6 +13,7 @@ import pytest
 import vesselseg
 from vesselseg.autodiff import Tensor
 from vesselseg.errors import (
+    ConfigInvalid,
     DimensionMismatch,
     EmptyDataset,
     NonFiniteGradient,
@@ -297,6 +298,19 @@ def test_grad_check_passes_and_reports():
     assert report["max_rel_err"] <= 1e-4
     assert report["worst_param"]
     assert report["n_samples"] >= 40
+
+
+@pytest.mark.parametrize("n_samples, tol, name", [
+    (0, 1e-4, "n_samples"), (-3, 1e-4, "n_samples"), (2.0, 1e-4, "n_samples"), (True, 1e-4, "n_samples"),
+    (12, 0.0, "tol"), (12, -1.0, "tol"), (12, float("nan"), "tol"), (12, float("inf"), "tol"), (12, "1e-4", "tol"),
+])
+def test_grad_check_rejects_bad_counts_and_tolerances_before_a_forward(monkeypatch, n_samples, tol, name):
+    def forward(*args, **kwargs):
+        raise AssertionError("grad_check ran the network")
+
+    monkeypatch.setattr(training_mod, "model_logits", forward)
+    with pytest.raises(ConfigInvalid, match=name):
+        grad_check(tiny_config(), n_samples=n_samples, tol=tol)
 
 
 def test_grad_check_negative_control():
