@@ -2,14 +2,16 @@
 
 A Tensor wraps an ndarray and remembers how it was produced; backward()
 walks the graph in reverse topological order and accumulates vector-
-Jacobian products into .grad. The op set is exactly what the network
-needs: add and mul with broadcasting, a full sum, matmul, convolution,
-max pooling, train-mode batch norm and layer norm (one normalization
-core, _normalize, serves both), the usual activations, nearest-neighbor
-upsampling, the sub-pixel phase interleave, slicing along one axis,
-shape moves, and the training loss: binary cross-entropy plus soft
-Jaccard as one op on the head's logits (bcej_from_logits) with a
-closed-form vjp.
+Jacobian products into .grad. The op set is exactly what a training
+step and the gradient check differentiate through: add and mul with
+broadcasting, matmul, convolution, max pooling, train-mode batch norm
+and layer norm (one normalization core, _normalize, serves both), relu,
+gelu and softmax, the sub-pixel phase interleave, slicing along one
+axis, shape moves, and the training loss: binary cross-entropy plus
+soft Jaccard as one op on the head's logits (bcej_from_logits) with a
+closed-form vjp. A full sum (tsum) closes hand-built graphs. The eval
+probabilities never enter a graph: model.model_forward computes them in
+plain numpy from the logits.
 
 Feature maps are channels-last (NHWC): a map is (n, h, w, c), so every
 pixel is one contiguous row of channels and a block of pixels is one
@@ -416,18 +418,6 @@ def relu(x) -> Tensor:
         return Tensor(out_data)
     mask = x.data > 0
     return _make(out_data, [(x, lambda g: g * mask)])
-
-
-def sigmoid(x) -> Tensor:
-    """Logistic function, clamped into the open interval representable in
-    the working dtype so saturated logits never round to exactly 0 or 1."""
-    x = as_tensor(x)
-    d = x.data
-    e = np.exp(-np.abs(d))
-    out_data = np.where(d >= 0, 1.0, e) / (1.0 + e)
-    info = np.finfo(d.dtype)
-    out_data = np.clip(out_data, info.tiny, 1.0 - info.epsneg).astype(d.dtype, copy=False)
-    return _make(out_data, [(x, lambda g: g * out_data * (1.0 - out_data))])
 
 
 def gelu(x) -> Tensor:
@@ -838,21 +828,6 @@ def max_pool2d(x) -> Tensor:
         gp = np.zeros(n * hp * wp * c, g.dtype)
         np.add.at(gp, dest.ravel()[::-1], g.ravel()[::-1])
         return gp.reshape(n, hp, wp, c)[:, padding : padding + h, padding : padding + w]
-
-    return _make(out_data, [(x, vjp)])
-
-
-def upsample_nearest2x(x) -> Tensor:
-    """Duplicate every pixel of an NHWC map into a 2 x 2 block."""
-    x = as_tensor(x)
-    d = x.data
-    if d.ndim != 4:
-        raise ShapeMismatch(f"upsample expects NHWC, got {d.shape}")
-    out_data = d.repeat(2, axis=1).repeat(2, axis=2)
-
-    def vjp(g):
-        n, h2, w2, c = g.shape
-        return g.reshape(n, h2 // 2, 2, w2 // 2, 2, c).sum(axis=(2, 4))
 
     return _make(out_data, [(x, vjp)])
 

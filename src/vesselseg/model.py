@@ -12,7 +12,8 @@ the conv runs as a 3x3 conv of the skip plus a sub-pixel conv of the
 low-res input, so neither the upsampled map nor the concat is built.
 model_logits ends in a 1x1 conv head at H/2, one logit per 2x2 output
 block, on which training takes its loss; model_forward is their sigmoid
-upsampled 2x (both act per pixel, so they commute with the upsample).
+upsampled 2x, in plain numpy off the autodiff tape (both act per pixel,
+so they commute with the upsample).
 
 Feature maps are channels-last, (batch, H, W, C), as autodiff's ops take
 them: the (batch, H, W, 3) input goes in as it is, the bridge's tokens are
@@ -456,8 +457,14 @@ def model_logits(x, ps: ParamStore, mode: str = "eval") -> Tensor:
 
 def model_forward(x, ps: ParamStore, mode: str = "eval") -> Tensor:
     """(batch, H, W, 3) in, (batch, H, W, 1) probabilities out: the sigmoid
-    of model_logits, upsampled 2x by nearest neighbour."""
-    return ad.upsample_nearest2x(ad.sigmoid(model_logits(x, ps, mode)))
+    of model_logits, upsampled 2x by nearest neighbour, in plain numpy. The
+    sigmoid is clamped into the open interval representable in the logits'
+    dtype, so saturated logits never round to exactly 0 or 1."""
+    z = model_logits(x, ps, mode).data
+    e = np.exp(-np.abs(z))
+    info = np.finfo(z.dtype)
+    p = np.clip(np.where(z >= 0, 1.0, e) / (1.0 + e), info.tiny, 1.0 - info.epsneg).astype(z.dtype, copy=False)
+    return Tensor(p.repeat(2, axis=1).repeat(2, axis=2))
 
 
 def model_input(hu_slices: np.ndarray, window: HuWindow) -> np.ndarray:

@@ -27,6 +27,7 @@ from .errors import (
     ConfigInvalid,
     DimensionMismatch,
     EmptyDataset,
+    MetaParseError,
     NonFiniteGradient,
     ShapeMismatch,
     SizeMismatch,
@@ -357,7 +358,7 @@ def train(
 def evaluate(ckpt: Checkpoint, patients: Sequence[Patient]) -> MetricsReport:
     """Segment each patient volume, with the HU window the checkpoint was
     trained with, and score 3-D Dice/IoU against truth."""
-    window = checkpoint_window(ckpt)
+    window, seed = checkpoint_window(ckpt), checkpoint_seed(ckpt)
     results = []
     for vol, mask in patients:
         pred = segment_volume(ckpt.params, vol, window)
@@ -369,14 +370,20 @@ def evaluate(ckpt: Checkpoint, patients: Sequence[Patient]) -> MetricsReport:
                 n_slices=vol.meta.num_slices,
             )
         )
-    return MetricsReport.from_patients(
-        results, seed=int(ckpt.meta.get("seed", 0)), config_sha256=ckpt.config.digest()
-    )
+    return MetricsReport.from_patients(results, seed=seed, config_sha256=ckpt.config.digest())
 
 
 def checkpoint_window(ckpt: Checkpoint) -> HuWindow:
     """The HU window recorded in the checkpoint's metadata, or the default."""
     return HuWindow.from_pair(ckpt.meta.get("hu_window", HuWindow().to_pair()))
+
+
+def checkpoint_seed(ckpt: Checkpoint) -> int:
+    """The training seed recorded in the checkpoint's metadata, or 0."""
+    seed = ckpt.meta.get("seed", 0)
+    if not (is_int(seed) and seed >= 0):
+        raise MetaParseError(f"checkpoint meta seed must be an int >= 0, got {seed!r}")
+    return int(seed)
 
 
 @dataclass
@@ -498,7 +505,8 @@ def grad_check(
         "decoder": [n for n in grads if n.startswith("decoder.")],
         "head": [n for n in grads if n.startswith("head.")],
     }
-    per_group = max(2, n_samples // 12)
+    # Below 12 samples, one pick per group in group order, cut to n_samples.
+    per_group = max(2, n_samples // 12) if n_samples >= 12 else 1
     picks: list[tuple[str, int]] = []
     for names in groups.values():
         if not names:
@@ -506,6 +514,7 @@ def grad_check(
         for _ in range(per_group):
             name = names[int(rng.integers(len(names)))]
             picks.append((name, int(rng.integers(params.data(name).size))))
+    del picks[n_samples:]
     all_names = list(grads)
     while len(picks) < n_samples:
         name = all_names[int(rng.integers(len(all_names)))]

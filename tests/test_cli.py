@@ -14,6 +14,7 @@ import vesselseg
 from vesselseg.checkpoint import load_checkpoint
 from vesselseg.cli import dispatch, write_overlay
 from vesselseg.errors import VesselSegError
+from vesselseg.training import checkpoint_seed
 from vesselseg.volume_io import HuWindow, load_mask
 
 
@@ -220,12 +221,14 @@ def test_train_accepts_an_xval_config(xval_run, tmp_path):
     assert json.loads((out / "effective_config.json").read_text())["model"]["bridge_layers"] == 0
 
 
-def test_gradcheck_command(capsys):
-    result = run("gradcheck", "--tol", "1e-4", "--seed", "0", "--samples", "12")
+@pytest.mark.parametrize("samples", [1, 5, 11, 12])
+def test_gradcheck_command(capsys, samples):
+    result = run("gradcheck", "--tol", "1e-4", "--seed", "0", "--samples", str(samples))
     assert result.exit_code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["pass"] is True
     assert out["max_rel_err"] <= 1e-4
+    assert out["n_samples"] == sum(out["group_counts"].values()) == samples
 
 
 @pytest.mark.parametrize("flags, name", [
@@ -328,6 +331,31 @@ def test_checkpoint_window_must_be_a_pair(trained, tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert result.exit_code == 1
     assert err.startswith("vesselseg: ") and "hu_window" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", [None, "abc", float("nan"), [1], 1.5, True, -4])
+def test_eval_rejects_a_checkpoint_seed_that_is_not_an_int_at_least_0(trained, tmp_path, capsys, seed):
+    _, data, out = trained
+    bad = tmp_path / "bad.ckpt"
+    _edit_header(out / "model.ckpt", bad, "meta", "seed", seed)
+    report = tmp_path / "r.json"
+    result = run("eval", "--ckpt", str(bad), "--data", str(data), "--report", str(report))
+    err = capsys.readouterr().err
+    assert result.exit_code == 1, err
+    assert err.startswith("vesselseg: ") and "seed" in err and "Traceback" not in err
+    assert not report.exists()
+
+
+def test_eval_reports_the_checkpoint_seed_or_0_when_absent(trained, tmp_path):
+    _, data, out = trained
+    seven = tmp_path / "seed7.ckpt"
+    _edit_header(out / "model.ckpt", seven, "meta", "seed", 7)
+    report = tmp_path / "r.json"
+    assert run("eval", "--ckpt", str(seven), "--data", str(data), "--report", str(report)).exit_code == 0
+    assert json.loads(report.read_text())["seed"] == 7
+    ckpt = load_checkpoint(out / "model.ckpt")
+    del ckpt.meta["seed"]
+    assert checkpoint_seed(ckpt) == 0
 
 
 def test_console_script_exits_1_on_a_malformed_config(trained, tmp_path):

@@ -135,7 +135,7 @@ def test_bcej_gradient_finite_and_matches_fd():
     assert np.isfinite(z.grad).all()
 
     def loss(logits):
-        p = ad.upsample_nearest2x(ad.sigmoid(Tensor(logits))).data
+        p = (1.0 / (1.0 + np.exp(-logits))).repeat(2, axis=1).repeat(2, axis=2)
         return bcej_loss(p, mask[..., None])
 
     h = 1e-6

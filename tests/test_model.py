@@ -275,8 +275,16 @@ def _concat_oracle(a: Tensor, b: Tensor) -> Tensor:
     return ad._make(np.concatenate([a.data, b.data], axis=3), [(a, lambda g: g[..., :c]), (b, lambda g: g[..., c:])])
 
 
+def _upsample_oracle(x: Tensor) -> Tensor:
+    """Nearest 2x upsample as a graph node: each pixel becomes a 2 x 2 block,
+    and its gradient is the sum over that block."""
+    n, h, w, c = x.shape
+    up = x.data.repeat(2, axis=1).repeat(2, axis=2)
+    return ad._make(up, [(x, lambda g: g.reshape(n, h, 2, w, 2, c).sum(axis=(2, 4)))])
+
+
 def _upsample_concat_conv_oracle(y, skip, w, bias):
-    return ad.conv2d(_concat_oracle(ad.upsample_nearest2x(y), skip), w, bias, stride=1, padding=1)
+    return ad.conv2d(_concat_oracle(_upsample_oracle(y), skip), w, bias, stride=1, padding=1)
 
 
 def _unfolded_conv_bn(conv, ps, weight, bn, training):
@@ -343,6 +351,15 @@ def test_decoder_forward_matches_the_upsample_concat_oracle(monkeypatch, dtype, 
         np.testing.assert_allclose(got_stats[name], v, rtol=tol, atol=tol)
 
 
+def _clamped_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function clamped into [tiny, 1 - epsneg] of z's dtype, step
+    by step as the eval probabilities are defined: the byte-level reference."""
+    e = np.exp(-np.abs(z))
+    p = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    info = np.finfo(z.dtype)
+    return np.clip(p, info.tiny, 1.0 - info.epsneg).astype(z.dtype, copy=False)
+
+
 def test_eval_probabilities_match_the_unfolded_model(monkeypatch):
     cfg = scaled_config(64)
     ps = init_params(cfg, 3)
@@ -357,8 +374,8 @@ def test_eval_probabilities_match_the_unfolded_model(monkeypatch):
         def head_after_upsample():
             bridge_in, skips = encoder_forward(Tensor(x), ps, training=False)
             decoded = decoder_forward(bridge_forward(bridge_in, ps), skips, ps, training=False)
-            y = ad.conv2d(ad.upsample_nearest2x(decoded), ps["head.conv.weight"], ps["head.conv.bias"])
-            return ad.sigmoid(y).data
+            y = ad.conv2d(_upsample_oracle(decoded), ps["head.conv.weight"], ps["head.conv.bias"])
+            return _clamped_sigmoid(y.data)
 
         # the head acts per pixel, so running it before the upsample changes no bit
         np.testing.assert_array_equal(got, head_after_upsample())
@@ -367,11 +384,6 @@ def test_eval_probabilities_match_the_unfolded_model(monkeypatch):
             want = head_after_upsample()
     assert want.min() < 0.5 < want.max()
     assert np.abs(got - want).max() <= 1e-5
-
-
-def test_upsample_duplication():
-    out = ad.upsample_nearest2x(Tensor(np.array([[[[3.5]]]])))
-    np.testing.assert_array_equal(out.data, np.full((1, 2, 2, 1), 3.5))
 
 
 def test_model_forward_shape_range_determinism():
@@ -394,9 +406,33 @@ def test_model_forward_is_the_upsampled_sigmoid_of_model_logits(mode):
         probs = model_forward(x, ps.copy(), mode=mode).data
         logits = model_logits(x, ps.copy(), mode=mode)
     assert logits.shape == (2, 32, 32, 1)
-    want = ad.upsample_nearest2x(ad.sigmoid(logits)).data
+    want = _clamped_sigmoid(logits.data).repeat(2, axis=1).repeat(2, axis=2)
     assert probs.dtype == want.dtype == np.float32
     assert probs.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["eval", "train"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bias", [40.0, -40.0, -1000.0])
+def test_saturated_logits_keep_probabilities_inside_0_1(bias, dtype, mode):
+    """A head bias of +40 rounds the sigmoid to 1 in both dtypes, and -1000
+    underflows it to 0; the clamp keeps every probability strictly inside
+    (0, 1), with the reference formula's bytes."""
+    ps = init_params(small_cfg(), 0, dtype=dtype)
+    ps.data("head.conv.bias")[:] = bias
+    x = RNG.uniform(size=(2, 64, 64, 3)).astype(dtype)
+    with ad.no_grad():
+        probs = model_forward(x, ps.copy(), mode=mode).data
+        logits = model_logits(x, ps.copy(), mode=mode).data
+    want = _clamped_sigmoid(logits).repeat(2, axis=1).repeat(2, axis=2)
+    assert probs.dtype == want.dtype == dtype
+    assert probs.tobytes() == want.tobytes()
+    assert ((probs > 0) & (probs < 1)).all()
+    info = np.finfo(dtype)
+    if bias == 40.0:
+        assert (probs == 1.0 - info.epsneg).any()
+    if bias == -1000.0:
+        assert (probs == info.tiny).all()
 
 
 def test_model_forward_input_validation():
