@@ -611,26 +611,8 @@ def _grid(rows: np.ndarray, h: int, w: int) -> np.ndarray:
 # Inputs with fewer channels than this run the forward and the weight
 # gradient as one GEMM over all kernel taps (see conv2d).
 STACK_BELOW_CHANNELS = 16
-# When one image's output block has at most this many elements, one GEMM
-# per tap spans the whole batch (see _row_blocks).
-BATCH_SPAN_ELEMENTS = 1 << 18
 # The narrow path copies at most this many input values per GEMM (see _window_bands).
 WINDOW_ELEMENTS = 1 << 20
-
-
-def _row_blocks(n: int, pitch: int, rows: int, c_out: int) -> list[tuple[int, int]]:
-    """The (start, count) ranges of n images' flat rows, pitch rows per image,
-    that one GEMM per tap covers: each image's first `rows` rows, or, for
-    small maps, all images at once.
-
-    Spanning the batch also computes the pitch - rows rows between images,
-    which the forward drops and the backward meets with zero gradient. Per
-    image, the output block stays in cache across the taps; a small block
-    fits in cache anyway, and spanning the batch saves GEMM calls.
-    """
-    if rows * c_out <= BATCH_SPAN_ELEMENTS:
-        return [(0, (n - 1) * pitch + rows)]
-    return [(i * pitch, rows) for i in range(n)]
 
 
 def _window_bands(n: int, oh: int, ow: int, k: int) -> list[tuple[int, int, int, int]]:
@@ -655,10 +637,12 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     of pw pixels and (kw - 1) // stride spare rows at the end. Kernel tap
     (i, j) then reads one contiguous row block of one phase, and the
     output, oh * pw rows per image, is the sum over taps of
-    block_ij @ W[:, :, i, j].T. Each tap's GEMM adds into the output inside
+    block_ij @ W[:, :, i, j].T. Each tap's block spans the whole batch,
+    from image 0's first output row to the last image's last, so a tap is
+    one GEMM whatever n is. Each tap's GEMM adds into the output inside
     BLAS (_gemm with beta = 1), so no tap costs a separate pass; the
-    pw - ow wrap-around columns of each row are dropped at the end. Row
-    blocks are per image or span the batch (_row_blocks).
+    pw - ow wrap-around columns of each row and the pitch - oh * pw rows
+    between images are dropped at the end.
 
     A narrower input with more than one tap (the 3-channel 7x7 stem)
     instead copies each output pixel's kh x kw x c_in window into one row
@@ -670,8 +654,9 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     The vjps keep only the input data and the weight parameter. The input
     gradient adds g @ W_ij, one GEMM per tap, into the row block of a
     phase-shaped buffer that the tap read, again inside BLAS, and merges the
-    phases back; the weight gradient re-reads the input and accumulates
-    block.T @ g over row blocks, with g zero in the wrap-around columns.
+    phases back; the weight gradient re-reads the input and takes
+    block.T @ g, one GEMM per tap, with g zero in every row the output
+    drops.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     d, w = x.data, weight.data
@@ -688,16 +673,16 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     spare = (kw - 1) // s
     grid, phases, spans = _phase_geometry(h, wid, kh, kw, s, padding)
     n_phases, pw = len(phases), grid[1]
-    pitch, L = grid[0] * pw + spare, oh * pw
+    pitch = grid[0] * pw + spare
+    span = (n - 1) * pitch + oh * pw  # the flat rows from image 0's first output row to the last image's last
     # per row-major tap, the phase it reads and its row offset there
     taps = [(phases.index((i % s, j % s)), (i // s) * pw + j // s) for i in range(kh) for j in range(kw)]
     windowed = c_in < STACK_BELOW_CHANNELS and len(taps) > 1
-    blocks = _row_blocks(n, pitch, L, c_out)
     bands = _window_bands(n, oh, ow, len(taps) * c_in)
 
-    def tap_rows(X, t, start, count):  # the (count, c_in) rows tap t reads: a view
+    def tap_rows(X, t):  # the (span, c_in) rows tap t reads: a view
         k, off = taps[t]
-        return X[k].reshape(n * pitch, c_in)[start + off : start + off + count]
+        return X[k].reshape(n * pitch, c_in)[off : off + span]
 
     def padded_input():  # the narrow path's zero-padded copy of the input
         P = np.zeros((n, h + 2 * padding, wid + 2 * padding, c_in), dtype)
@@ -732,9 +717,8 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
         wt = tap_weights()
         X = _phase_split(d, kh, kw, s, padding, spare, 0, dtype)[0]
         acc = np.empty((n * pitch, c_out), dtype)
-        for start, count in blocks:
-            for t in range(len(taps)):
-                _gemm(tap_rows(X, t, start, count), wt[t], acc[start : start + count], float(t > 0), trans_b=True)
+        for t in range(len(taps)):
+            _gemm(tap_rows(X, t), wt[t], acc[:span], float(t > 0), trans_b=True)
         del X
         out_data = _grid(acc.reshape(n, pitch, c_out), oh, pw)[:, :, :ow]
         out_data = np.ascontiguousarray(out_data) if bias is None else out_data + as_tensor(bias).data
@@ -749,9 +733,8 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
         gp = padded(g)
         wt = tap_weights()
         gX = np.zeros((n_phases, n, pitch, c_in), dtype)
-        for start, count in blocks:
-            for t in range(len(taps)):
-                _gemm(gp[start : start + count], wt[t], tap_rows(gX, t, start, count), 1.0)
+        for t in range(len(taps)):
+            _gemm(gp[:span], wt[t], tap_rows(gX, t), 1.0)
         return _phase_merge(gX, grid, spans, d.shape, s)
 
     def vjp_w(g):
@@ -766,9 +749,8 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
             gw = np.empty((len(taps), c_out, c_in), dtype)
             gp = padded(g)
             X = _phase_split(d, kh, kw, s, padding, spare, 0, dtype)[0]
-            for b, (start, count) in enumerate(blocks):
-                for t in range(len(taps)):
-                    _gemm(gp[start : start + count], tap_rows(X, t, start, count), gw[t], float(b > 0), trans_a=True)
+            for t in range(len(taps)):
+                _gemm(gp[:span], tap_rows(X, t), gw[t], trans_a=True)
             gw = np.ascontiguousarray(gw.transpose(1, 0, 2))
         gw = gw.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
         return np.ascontiguousarray(gw, weight.data.dtype)

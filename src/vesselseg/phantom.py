@@ -98,12 +98,16 @@ class PhantomSpec:
             _check_z_range("occlusion range", self.occlusion_z_range, nz)
         for decoy in self.bone_decoys:
             _check_z_range("bone decoy z range", decoy.contact_z_range, nz)
-            if not all(map(is_finite_number, (*decoy.center_xy, decoy.radius_px))):
-                raise SpecInvalid(f"bone decoy center {decoy.center_xy} and radius {decoy.radius_px} must be finite")
+            center = decoy.center_xy
+            two_numbers = isinstance(center, (tuple, list)) and len(center) == 2
+            if not (two_numbers and all(map(is_finite_number, (*center, decoy.radius_px)))):
+                raise SpecInvalid(f"bone decoy center {center!r} and radius {decoy.radius_px!r} must be finite numbers")
             if decoy.radius_px <= 0:
                 raise SpecInvalid("bone decoy radius must be > 0")
         if self.mask_extent not in (MASK_TO_BIFURCATION, MASK_TO_END):
             raise SpecInvalid(f"unknown mask_extent {self.mask_extent!r}")
+        if not isinstance(self.patient_id, str):
+            raise SpecInvalid(f"patient_id must be a string, got {self.patient_id!r}")
         missing = set(DEFAULT_INTENSITIES) - set(self.intensities)
         if missing:
             raise SpecInvalid(f"intensities missing keys {sorted(missing)}")
@@ -115,22 +119,22 @@ class PhantomSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "PhantomSpec":
-        """The spec from its to_json text; SpecInvalid if the text is not one."""
+        """The spec from its to_json text; SpecInvalid if the text is not one.
+
+        JSON lists become tuples and no other value is converted: dims is
+        required, each bone decoy takes exactly BoneDecoy's three keys, and
+        validate() checks every type.
+        """
+
+        def tuples(obj) -> dict:  # a JSON object with its list values as tuples
+            if not isinstance(obj, dict):
+                raise TypeError(f"expected a JSON object, got {obj!r}")
+            return {key: tuple(value) if isinstance(value, list) else value for key, value in obj.items()}
+
         try:
-            raw = json.loads(text)
-            decoys = [
-                BoneDecoy(
-                    center_xy=tuple(d["center_xy"]),
-                    radius_px=float(d["radius_px"]),
-                    contact_z_range=tuple(d["contact_z_range"]),
-                )
-                for d in raw.pop("bone_decoys", [])
-            ]
-            raw["dims"] = tuple(raw["dims"])
-            raw["entry_xy"] = tuple(raw["entry_xy"]) if raw.get("entry_xy") else None
-            if raw.get("occlusion_z_range"):
-                raw["occlusion_z_range"] = tuple(raw["occlusion_z_range"])
-            return cls(bone_decoys=decoys, **raw)
+            raw = tuples(json.loads(text))
+            decoys = [BoneDecoy(**tuples(d)) for d in raw.pop("bone_decoys", ())]
+            return cls(dims=raw.pop("dims"), bone_decoys=decoys, **raw)
         except (ValueError, KeyError, TypeError) as exc:  # json's decode errors are ValueErrors
             raise SpecInvalid(f"not a phantom spec: {exc!r}") from exc
 

@@ -348,7 +348,7 @@ def train(
         best_params, best_epoch = params, train_cfg.epochs - 1
     meta.update(
         epoch=best_epoch,
-        loss=log.entries[-1].train_loss,
+        loss=log.entries[best_epoch].train_loss,
         best_val_iou=None if best_val < 0 else best_val,
     )
     log.wall_clock_sec = time.time() - started

@@ -614,6 +614,56 @@ def test_conv2d_matches_im2col_oracle(kernel, stride, padding):
                     assert np.abs(g - o).max() <= 1e-5 * np.abs(o).max()
 
 
+# (hw, stride) of a 4-image 3x3, 32 -> 128-channel map whose output per
+# image, oh * pw rows of 128, is above 2 ** 18 values
+BIG_BATCH_CONVS = [(48, 1), (96, 2)]
+
+
+@pytest.mark.parametrize("hw, stride", BIG_BATCH_CONVS)
+def test_conv2d_runs_one_gemm_per_tap_over_the_whole_batch(hw, stride, monkeypatch):
+    gemm, calls = ad._gemm, []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return gemm(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "_gemm", counting)
+    x = Tensor(RNG.normal(size=(4, hw, hw, 32)).astype(np.float32), requires_grad=True)
+    w = Tensor(RNG.normal(size=(128, 32, 3, 3)).astype(np.float32), requires_grad=True)
+    out = ad.conv2d(x, w, stride=stride, padding=1)
+    counts = [len(calls)]
+    for _, vjp in out._inputs:  # vjp_x, then vjp_w
+        calls.clear()
+        vjp(np.ones_like(out.data))
+        counts.append(len(calls))
+    assert counts == [9, 9, 9]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hw, stride", BIG_BATCH_CONVS)
+def test_a_multi_image_conv2d_equals_one_conv2d_per_image(hw, stride, dtype):
+    """The output and the input gradient are byte-identical; the weight
+    gradient sums the images in another grouping, so it agrees to rounding."""
+    rng = np.random.default_rng(hw + stride)
+    x = rng.normal(size=(4, hw, hw, 32)).astype(dtype)
+    w = rng.normal(size=(128, 32, 3, 3)).astype(dtype)
+    g = rng.normal(size=(4, hw // stride, hw // stride, 128)).astype(dtype)
+
+    def conv_and_grads(x, g):
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = ad.conv2d(xt, wt, stride=stride, padding=1)
+        out.backward(g)
+        return out.data, xt.grad, wt.grad
+
+    out, gx, gw = conv_and_grads(x, g)
+    per_image = [conv_and_grads(x[i : i + 1], g[i : i + 1]) for i in range(len(x))]
+    np.testing.assert_array_equal(out, np.concatenate([p[0] for p in per_image]))
+    np.testing.assert_array_equal(gx, np.concatenate([p[1] for p in per_image]))
+    want = sum(p[2] for p in per_image)
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    assert gw.dtype == dtype and np.abs(gw - want).max() <= tol * np.abs(want).max()
+
+
 def _base(a: np.ndarray) -> np.ndarray:
     while isinstance(a.base, np.ndarray):
         a = a.base

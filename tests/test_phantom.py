@@ -285,6 +285,17 @@ def test_spec_validation():
     '{"dims": [4, 32, 32], "branch_half_angle_deg": NaN}',
     '{"dims": [4, 32, 32], "intensities": {"background": 40, "lumen": "350", "occluded_lumen": 45, "bone": 900}}',
     '{"dims": [4, 32, 32], "intensities": {"background": 40, "lumen": 350, "occluded_lumen": NaN, "bone": 900}}',
+    # the reader converts JSON lists to tuples and nothing else
+    '{"dims": [4, 32, 32], "bone_decoys": [{"center_xy": [1, 2], "radius_px": "4", "contact_z_range": [0, 2]}]}',
+    '{"dims": [4, 32, 32], "bone_decoys": [{"center_xy": [1, 2], "radius_px": true, "contact_z_range": [0, 2]}]}',
+    '{"dims": [4, 32, 32], "entry_xy": []}',
+    '{"dims": [4, 32, 32], "entry_xy": 0}',
+    '{"dims": [4, 32, 32], "entry_xy": false}',
+    '{"dims": [4, 32, 32], "bone_decoys": [{"center_xy": [1, 2], "radius_px": 4, "contact_z_range": [0, 2], "hu": 1}]}',
+    '{"dims": [4, 32, 32], "bone_decoys": [{"center_xy": [1, 2, 3], "radius_px": 4, "contact_z_range": [0, 2]}]}',
+    '{"dims": [4, 32, 32], "bone_decoys": [[1, 2]]}',
+    '"dims"',
+    '{"dims": [4, 32, 32], "patient_id": 5}',
 ])
 def test_load_spec_raises_spec_invalid_for_a_malformed_file(tmp_path, text):
     (tmp_path / "phantom.json").write_text(text, encoding="utf-8")
@@ -298,6 +309,17 @@ def test_load_spec_errors_for_missing_and_non_utf8_files(tmp_path):
     (tmp_path / "phantom.json").write_bytes(b"\xff\xfe{}")
     with pytest.raises(SpecInvalid, match="phantom.json"):
         load_spec(tmp_path)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=range(len(ORACLE_SPECS)))
+def test_every_oracle_spec_round_trips_through_json(spec):
+    assert PhantomSpec.from_json(spec.to_json()) == spec
+
+
+def test_from_json_reads_null_as_the_default_entry_and_bifurcation():
+    spec = PhantomSpec.from_json('{"dims": [6, 32, 40], "entry_xy": null, "bifurcation_z": null}')
+    assert spec.entry_xy == (20.0, 16.0)
+    assert spec.bifurcation_z == 3
 
 
 def test_spec_json_roundtrip(tmp_path):

@@ -258,6 +258,26 @@ def test_train_tracks_best_validation(tmp_path):
     assert (tmp_path / "epoch_0001.ckpt").is_file()
 
 
+def test_checkpoint_meta_pairs_the_best_epoch_with_its_own_loss(monkeypatch):
+    """Validation after the first epoch predicts nothing, so epoch 0 stays the
+    best; the checkpoint's loss is epoch 0's, not the last epoch's."""
+    predict = training_mod.predict_probabilities
+    calls = []
+
+    def first_epoch_only(*args):
+        calls.append(None)
+        probs = predict(*args)
+        return probs if len(calls) == 1 else np.zeros_like(probs)
+
+    monkeypatch.setattr(training_mod, "predict_probabilities", first_epoch_only)
+    patients = _micro_patients(2)
+    tc = TrainConfig(learning_rate=1e-3, batch_size=4, epochs=3, seed=0)
+    ckpt, log = train(tiny_config(), tc, patients[:1], val_patients=patients[1:])
+    assert ckpt.meta["epoch"] == 0
+    assert ckpt.meta["loss"] == log.entries[ckpt.meta["epoch"]].train_loss
+    assert log.entries[0].train_loss != log.entries[-1].train_loss
+
+
 def test_evaluate_with_oracle_stub(monkeypatch):
     patients = _micro_patients(3)
     monkeypatch.setattr(training_mod, "segment_volume", lambda ps, vol, win, threshold=0.5: _gt(vol, patients))
