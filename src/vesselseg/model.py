@@ -29,6 +29,9 @@ Parameters live in a ParamStore: a flat, canonically ordered mapping from
 tensor name to autodiff Tensor whose names and shapes are fixed by the
 ModelConfig. Batch-norm running statistics are stored as non-trainable
 entries of the same store; a tensor's requires_grad is its trainable flag.
+Each parameter is declared (param_manifest) and read (the forward passes)
+one way, by its full dotted name such as "bridge.layer0.attn.q.weight":
+every block takes the whole store and its own name prefix.
 """
 
 from __future__ import annotations
@@ -88,12 +91,8 @@ class ModelConfig(DictConfig):
             raise ShapeMismatch("out_channels must be 1: single-channel probability output only")
 
     @property
-    def token_grid(self) -> int:
-        return self.input_hw // 32
-
-    @property
     def n_tokens(self) -> int:
-        return self.token_grid * self.token_grid
+        return (self.input_hw // 32) ** 2
 
     def digest(self) -> str:
         return config_digest(self.to_dict())
@@ -125,22 +124,30 @@ def tiny_config() -> ModelConfig:
 class ParamEntry(NamedTuple):
     name: str
     shape: tuple[int, ...]
-    init: str  # kaiming | normal002 | zeros | ones
+    init: str  # a key of _INITS
     trainable: bool
 
 
 def _ln_entries(prefix: str, dim: int) -> list[ParamEntry]:
-    return [
-        ParamEntry(f"{prefix}.gamma", (dim,), "ones", True),
-        ParamEntry(f"{prefix}.beta", (dim,), "zeros", True),
+    return [ParamEntry(f"{prefix}.gamma", (dim,), "ones", True), ParamEntry(f"{prefix}.beta", (dim,), "zeros", True)]
+
+
+def _conv_bn_entries(weight: str, bn: str, shape: tuple[int, ...]) -> list[ParamEntry]:
+    """A bias-free conv weight and the batch norm that follows it."""
+    return [ParamEntry(weight, shape, "kaiming", True)] + _ln_entries(bn, shape[0]) + [
+        ParamEntry(f"{bn}.running_mean", shape[:1], "zeros", False),
+        ParamEntry(f"{bn}.running_var", shape[:1], "ones", False),
     ]
 
 
-def _bn_entries(prefix: str, channels: int) -> list[ParamEntry]:
-    return _ln_entries(prefix, channels) + [
-        ParamEntry(f"{prefix}.running_mean", (channels,), "zeros", False),
-        ParamEntry(f"{prefix}.running_var", (channels,), "ones", False),
-    ]
+def _linear_entries(prefix: str, out_features: int, in_features: int) -> list[ParamEntry]:
+    weight = ParamEntry(f"{prefix}.weight", (out_features, in_features), "normal002", True)
+    return [weight, ParamEntry(f"{prefix}.bias", (out_features,), "zeros", True)]
+
+
+def block_stride(layer: int, block: int) -> int:
+    """Stride of encoder layer{layer}.block{block}: 2 opens layers 2-4."""
+    return 2 if block == 0 and layer > 1 else 1
 
 
 def param_manifest(cfg: ModelConfig) -> list[ParamEntry]:
@@ -150,59 +157,36 @@ def param_manifest(cfg: ModelConfig) -> list[ParamEntry]:
     these shapes. With bridge_layers = 0 no bridge entries exist.
     """
     w = cfg.encoder_widths
-    entries: list[ParamEntry] = []
-
-    entries.append(ParamEntry("encoder.stem.conv.weight", (w[0], cfg.in_channels, 7, 7), "kaiming", True))
-    entries.extend(_bn_entries("encoder.stem.bn", w[0]))
-
+    entries = _conv_bn_entries("encoder.stem.conv.weight", "encoder.stem.bn", (w[0], cfg.in_channels, 7, 7))
     in_c = w[0]
     for li, (blocks, width) in enumerate(zip(cfg.encoder_block_counts, w[1:]), start=1):
-        stage_stride = 1 if li == 1 else 2
         for bi in range(blocks):
             p = f"encoder.layer{li}.block{bi}"
-            b_in = in_c if bi == 0 else width
-            b_stride = stage_stride if bi == 0 else 1
-            entries.append(ParamEntry(f"{p}.conv1.weight", (width, b_in, 3, 3), "kaiming", True))
-            entries.extend(_bn_entries(f"{p}.bn1", width))
-            entries.append(ParamEntry(f"{p}.conv2.weight", (width, width, 3, 3), "kaiming", True))
-            entries.extend(_bn_entries(f"{p}.bn2", width))
-            if b_stride != 1 or b_in != width:
-                entries.append(
-                    ParamEntry(f"{p}.downsample.conv.weight", (width, b_in, 1, 1), "kaiming", True)
-                )
-                entries.extend(_bn_entries(f"{p}.downsample.bn", width))
-        in_c = width
+            entries += _conv_bn_entries(f"{p}.conv1.weight", f"{p}.bn1", (width, in_c, 3, 3))
+            entries += _conv_bn_entries(f"{p}.conv2.weight", f"{p}.bn2", (width, width, 3, 3))
+            if block_stride(li, bi) != 1 or in_c != width:
+                entries += _conv_bn_entries(f"{p}.downsample.conv.weight", f"{p}.downsample.bn", (width, in_c, 1, 1))
+            in_c = width
 
     if cfg.bridge_layers > 0:
-        c_b, d = w[-1], cfg.d_model
-        entries.append(ParamEntry("bridge.in_proj.weight", (d, c_b), "normal002", True))
-        entries.append(ParamEntry("bridge.in_proj.bias", (d,), "zeros", True))
+        c_b, d, hidden = w[-1], cfg.d_model, cfg.mlp_ratio * cfg.d_model
+        entries += _linear_entries("bridge.in_proj", d, c_b)
         entries.append(ParamEntry("bridge.pos_embed", (1, cfg.n_tokens, d), "zeros", True))
         for i in range(cfg.bridge_layers):
             p = f"bridge.layer{i}"
-            entries.extend(_ln_entries(f"{p}.ln1", d))
+            entries += _ln_entries(f"{p}.ln1", d)
             for proj in ("q", "k", "v", "out"):
-                entries.append(ParamEntry(f"{p}.attn.{proj}.weight", (d, d), "normal002", True))
-                entries.append(ParamEntry(f"{p}.attn.{proj}.bias", (d,), "zeros", True))
-            entries.extend(_ln_entries(f"{p}.ln2", d))
-            hidden = cfg.mlp_ratio * d
-            entries.append(ParamEntry(f"{p}.mlp.fc1.weight", (hidden, d), "normal002", True))
-            entries.append(ParamEntry(f"{p}.mlp.fc1.bias", (hidden,), "zeros", True))
-            entries.append(ParamEntry(f"{p}.mlp.fc2.weight", (d, hidden), "normal002", True))
-            entries.append(ParamEntry(f"{p}.mlp.fc2.bias", (d,), "zeros", True))
-        entries.extend(_ln_entries("bridge.final_ln", d))
-        entries.append(ParamEntry("bridge.out_proj.weight", (c_b, d), "normal002", True))
-        entries.append(ParamEntry("bridge.out_proj.bias", (c_b,), "zeros", True))
-        entries.extend(_ln_entries("bridge.post_ln", c_b))
+                entries += _linear_entries(f"{p}.attn.{proj}", d, d)
+            entries += _ln_entries(f"{p}.ln2", d)
+            entries += _linear_entries(f"{p}.mlp.fc1", hidden, d) + _linear_entries(f"{p}.mlp.fc2", d, hidden)
+        entries += _ln_entries("bridge.final_ln", d) + _linear_entries("bridge.out_proj", c_b, d)
+        entries += _ln_entries("bridge.post_ln", c_b)
         entries.append(ParamEntry("bridge.conv.weight", (c_b, c_b, 3, 3), "kaiming", True))
         entries.append(ParamEntry("bridge.conv.bias", (c_b,), "zeros", True))
 
-    skip_c = (w[4], w[3], w[2], w[1], w[0])  # incoming, then S4..S1
-    ch = skip_c[0]
-    for i, out_c in enumerate(cfg.decoder_widths):
-        p = f"decoder.block{i}"
-        entries.append(ParamEntry(f"{p}.conv.weight", (out_c, ch + skip_c[i + 1], 3, 3), "kaiming", True))
-        entries.extend(_bn_entries(f"{p}.bn", out_c))
+    ch = w[4]
+    for i, (out_c, skip_c) in enumerate(zip(cfg.decoder_widths, w[3::-1])):  # skips S4..S1
+        entries += _conv_bn_entries(f"decoder.block{i}.conv.weight", f"decoder.block{i}.bn", (out_c, ch + skip_c, 3, 3))
         ch = out_c
 
     entries.append(ParamEntry("head.conv.weight", (cfg.out_channels, ch, 1, 1), "kaiming", True))
@@ -242,6 +226,20 @@ class ParamStore:
         return ParamStore(self.config, out)
 
 
+def _kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    bound = np.sqrt(6.0 / int(np.prod(shape[1:])))  # fan_in = shape[1:]
+    return rng.uniform(-bound, bound, size=shape)
+
+
+# ParamEntry.init -> (rng, shape) -> float64 array.
+_INITS = {
+    "kaiming": _kaiming_uniform,
+    "normal002": lambda rng, shape: rng.normal(0.0, 0.02, size=shape),
+    "zeros": lambda rng, shape: np.zeros(shape),
+    "ones": lambda rng, shape: np.ones(shape),
+}
+
+
 def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParamStore:
     """Fresh parameters: Kaiming-uniform convolutions, normal(0, 0.02)
     bridge projections, unit/zero norm affines, zero positional embeddings.
@@ -250,21 +248,10 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParamStore:
     every tensor bit-for-bit.
     """
     rng = np.random.default_rng(seed)
-    tensors: dict[str, Tensor] = {}
-    for entry in param_manifest(cfg):
-        if entry.init == "kaiming":
-            fan_in = int(np.prod(entry.shape[1:]))
-            bound = np.sqrt(6.0 / fan_in)
-            data = rng.uniform(-bound, bound, size=entry.shape)
-        elif entry.init == "normal002":
-            data = rng.normal(0.0, 0.02, size=entry.shape)
-        elif entry.init == "zeros":
-            data = np.zeros(entry.shape)
-        elif entry.init == "ones":
-            data = np.ones(entry.shape)
-        else:
-            raise ValueError(f"unknown init {entry.init!r}")
-        tensors[entry.name] = Tensor(data.astype(dtype), requires_grad=entry.trainable)
+    tensors = {
+        e.name: Tensor(_INITS[e.init](rng, e.shape).astype(dtype), requires_grad=e.trainable)
+        for e in param_manifest(cfg)
+    }
     return ParamStore(cfg, tensors)
 
 
@@ -316,49 +303,44 @@ def encoder_forward(
     skips = [s1]
     for li, blocks in enumerate(cfg.encoder_block_counts, start=1):
         for bi in range(blocks):
-            stride = 2 if (bi == 0 and li > 1) else 1
-            y = residual_block(y, ps, f"encoder.layer{li}.block{bi}", stride, training)
+            y = residual_block(y, ps, f"encoder.layer{li}.block{bi}", block_stride(li, bi), training)
         if li < 4:
             skips.append(y)
     return y, skips
 
 
-def multi_head_attention(x: Tensor, params: dict[str, Tensor], num_heads: int) -> Tensor:
-    """Scaled dot-product attention over a (batch, tokens, dim) sequence.
+def _linear(x: Tensor, ps: ParamStore, prefix: str) -> Tensor:
+    return ad.linear(x, ps[f"{prefix}.weight"], ps[f"{prefix}.bias"])
 
-    params holds q/k/v/out projection weights (out_dim, in_dim) and biases.
-    """
+
+def _layer_norm(x: Tensor, ps: ParamStore, prefix: str) -> Tensor:
+    return ad.layer_norm(x, ps[f"{prefix}.gamma"], ps[f"{prefix}.beta"])
+
+
+def multi_head_attention(x: Tensor, ps: ParamStore, prefix: str, num_heads: int) -> Tensor:
+    """Scaled dot-product attention over a (batch, tokens, dim) sequence,
+    with the q/k/v/out projections {prefix}.q ... {prefix}.out."""
     n, t, d = x.shape
     if d % num_heads != 0:
         raise ShapeMismatch(f"token dim {d} not divisible by {num_heads} heads")
     dh = d // num_heads
 
     def split(name):
-        proj = ad.linear(x, params[f"{name}.weight"], params[f"{name}.bias"])
+        proj = _linear(x, ps, f"{prefix}.{name}")
         return ad.transpose(ad.reshape(proj, (n, t, num_heads, dh)), (0, 2, 1, 3))
 
     q, k, v = split("q"), split("k"), split("v")
     scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / dh**0.5)
     ctx = ad.matmul(ad.softmax(scores), v)
     merged = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (n, t, d))
-    return ad.linear(merged, params["out.weight"], params["out.bias"])
+    return _linear(merged, ps, f"{prefix}.out")
 
 
-def transformer_layer(x: Tensor, params: dict[str, Tensor], num_heads: int) -> Tensor:
+def transformer_layer(x: Tensor, ps: ParamStore, prefix: str, num_heads: int) -> Tensor:
     """Pre-norm residual block: x + MHA(LN(x)), then y + MLP(LN(y))."""
-    attn_params = {k[len("attn.") :]: v for k, v in params.items() if k.startswith("attn.")}
-    h = ad.layer_norm(x, params["ln1.gamma"], params["ln1.beta"])
-    x = x + multi_head_attention(h, attn_params, num_heads)
-    h = ad.layer_norm(x, params["ln2.gamma"], params["ln2.beta"])
-    h = ad.linear(h, params["mlp.fc1.weight"], params["mlp.fc1.bias"])
-    h = ad.gelu(h)
-    h = ad.linear(h, params["mlp.fc2.weight"], params["mlp.fc2.bias"])
-    return x + h
-
-
-def _layer_params(ps: ParamStore, prefix: str) -> dict[str, Tensor]:
-    plen = len(prefix) + 1
-    return {name[plen:]: t for name, t in ps.tensors.items() if name.startswith(prefix + ".")}
+    x = x + multi_head_attention(_layer_norm(x, ps, f"{prefix}.ln1"), ps, f"{prefix}.attn", num_heads)
+    h = ad.gelu(_linear(_layer_norm(x, ps, f"{prefix}.ln2"), ps, f"{prefix}.mlp.fc1"))
+    return x + _linear(h, ps, f"{prefix}.mlp.fc2")
 
 
 def bridge_forward(bridge_in: Tensor, ps: ParamStore) -> Tensor:
@@ -367,17 +349,12 @@ def bridge_forward(bridge_in: Tensor, ps: ParamStore) -> Tensor:
     if cfg.bridge_layers == 0:
         return bridge_in
     n, h, w, c = bridge_in.shape
-    tokens = ad.reshape(bridge_in, (n, h * w, c))
-    t = ad.linear(tokens, ps["bridge.in_proj.weight"], ps["bridge.in_proj.bias"])
-    t = t + ps["bridge.pos_embed"]
+    t = _linear(ad.reshape(bridge_in, (n, h * w, c)), ps, "bridge.in_proj") + ps["bridge.pos_embed"]
     for i in range(cfg.bridge_layers):
-        t = transformer_layer(t, _layer_params(ps, f"bridge.layer{i}"), cfg.num_heads)
-    t = ad.layer_norm(t, ps["bridge.final_ln.gamma"], ps["bridge.final_ln.beta"])
-    t = ad.linear(t, ps["bridge.out_proj.weight"], ps["bridge.out_proj.bias"])
-    fm = ad.reshape(t, (n, h, w, c))
-    fm = ad.layer_norm(fm, ps["bridge.post_ln.gamma"], ps["bridge.post_ln.beta"])
-    fm = ad.conv2d(fm, ps["bridge.conv.weight"], ps["bridge.conv.bias"], stride=1, padding=1)
-    return ad.relu(fm)
+        t = transformer_layer(t, ps, f"bridge.layer{i}", cfg.num_heads)
+    t = _linear(_layer_norm(t, ps, "bridge.final_ln"), ps, "bridge.out_proj")
+    fm = _layer_norm(ad.reshape(t, (n, h, w, c)), ps, "bridge.post_ln")
+    return ad.relu(ad.conv2d(fm, ps["bridge.conv.weight"], ps["bridge.conv.bias"], stride=1, padding=1))
 
 
 # Row (and column) fold of a 3x3 kernel read through a nearest 2x upsample:

@@ -96,6 +96,8 @@ class PhantomSpec:
             raise SpecInvalid(f"entry_xy must be two finite numbers, got {xy!r}")
         if self.occlusion_z_range is not None:
             _check_z_range("occlusion range", self.occlusion_z_range, nz)
+        if not (isinstance(self.bone_decoys, list) and all(isinstance(d, BoneDecoy) for d in self.bone_decoys)):
+            raise SpecInvalid(f"bone_decoys must be a list of BoneDecoy, got {self.bone_decoys!r}")
         for decoy in self.bone_decoys:
             _check_z_range("bone decoy z range", decoy.contact_z_range, nz)
             center = decoy.center_xy
@@ -108,11 +110,11 @@ class PhantomSpec:
             raise SpecInvalid(f"unknown mask_extent {self.mask_extent!r}")
         if not isinstance(self.patient_id, str):
             raise SpecInvalid(f"patient_id must be a string, got {self.patient_id!r}")
-        missing = set(DEFAULT_INTENSITIES) - set(self.intensities)
-        if missing:
-            raise SpecInvalid(f"intensities missing keys {sorted(missing)}")
-        if not all(is_finite_number(self.intensities[k]) for k in DEFAULT_INTENSITIES):
-            raise SpecInvalid(f"intensities must be finite numbers, got {self.intensities!r}")
+        intensities = self.intensities
+        if not (isinstance(intensities, dict) and intensities.keys() == DEFAULT_INTENSITIES.keys()):
+            raise SpecInvalid(f"intensities must map exactly the keys {list(DEFAULT_INTENSITIES)}, got {intensities!r}")
+        if not all(map(is_finite_number, intensities.values())):
+            raise SpecInvalid(f"intensities must be finite numbers, got {intensities!r}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)

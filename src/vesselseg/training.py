@@ -359,6 +359,7 @@ def evaluate(ckpt: Checkpoint, patients: Sequence[Patient]) -> MetricsReport:
     """Segment each patient volume, with the HU window the checkpoint was
     trained with, and score 3-D Dice/IoU against truth."""
     window, seed = checkpoint_window(ckpt), checkpoint_seed(ckpt)
+    _check_patient_dims(patients, ckpt.config.input_hw)
     results = []
     for vol, mask in patients:
         pred = segment_volume(ckpt.params, vol, window)
@@ -405,6 +406,7 @@ def cross_validate(
     by_id = {vol.meta.patient_id: (vol, mask) for vol, mask in patients}
     if len(by_id) != len(patients):
         raise SizeMismatch("patient ids must be unique")
+    _check_patient_dims(patients, model_cfg.input_hw)
     plan = make_folds(sorted(by_id), fold_sizes=fold_sizes, val_per_fold=val_per_fold)
     reports = []
     for fold in plan.folds:

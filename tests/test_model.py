@@ -109,16 +109,54 @@ def test_manifest_matches_store():
     assert {n: tuple(t.data.shape) for n, t in ps.tensors.items()} == manifest
 
 
+# sha256 of repr([(name, shape, init, trainable), ...]) over param_manifest(cfg)
+# and of every init_params(cfg, 3) tensor's bytes in store order.
+_MANIFEST_AND_INIT_SHA256 = {
+    "default": (
+        "11f4ba4fbb5694f4def8b710174fb089475ec2ebdf4994f82a6541f7bf735b1e",
+        "007a080fcd73f7a5abf069673cd6454d0dd6cf68542a1390396255d4128f040d",
+    ),
+    "study": (
+        "ad95f10a72c98282d25b24defeffeedc536b9f64ebb9aaa5f2de0d84a018c80b",
+        "c19892e3917d3e8c774b21974e8ac6203cc2374ff370ffd3a008365c0f588fd5",
+    ),
+    "tiny": (
+        "2d4e8a884445c3aa1167ba0109f109fc80f8b1852348ed68780c45128258c6b4",
+        "e4f059cc859b00708116218519e9e2928dfb3cb9f230e416bc85e1eaabee861c",
+    ),
+    "bridgeless": (
+        "1fc8cf5f101dbeeb0657ba79cbca0d0c52027d3748bb944d9b947f636510378a",
+        "c5065bfbb8c72443ae196755072157a04adc29731530230d67a23114e2ef81f2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_MANIFEST_AND_INIT_SHA256))
+def test_manifest_and_init_bytes_are_unchanged(name):
+    cfg = {
+        "default": ModelConfig(),
+        "study": scaled_config(64, width_divisor=4, bridge_layers=4, d_model=128, num_heads=8),
+        "tiny": tiny_config(),
+        "bridgeless": small_cfg(bridge_layers=0),
+    }[name]
+    manifest = [(e.name, e.shape, e.init, e.trainable) for e in param_manifest(cfg)]
+    init = hashlib.sha256()
+    for t in init_params(cfg, 3).tensors.values():
+        init.update(t.data.tobytes())
+    assert (hashlib.sha256(repr(manifest).encode()).hexdigest(), init.hexdigest()) == _MANIFEST_AND_INIT_SHA256[name]
+
+
 def test_bridge_absent_when_zero_layers():
     names = [e.name for e in param_manifest(small_cfg(bridge_layers=0))]
     assert not any(n.startswith("bridge.") for n in names)
 
 
 def _attn_params(d, scale=0.3):
+    """q/k/v/out projections named under the prefix "attn"."""
     params = {}
     for n in ("q", "k", "v", "out"):
-        params[f"{n}.weight"] = Tensor(RNG.normal(0, scale, size=(d, d)))
-        params[f"{n}.bias"] = Tensor(RNG.normal(0, 0.1, size=(d,)))
+        params[f"attn.{n}.weight"] = Tensor(RNG.normal(0, scale, size=(d, d)))
+        params[f"attn.{n}.bias"] = Tensor(RNG.normal(0, 0.1, size=(d,)))
     return params
 
 
@@ -127,9 +165,9 @@ def test_attention_uniform_on_identical_tokens():
     params = _attn_params(d)
     token = RNG.normal(size=(1, 1, d))
     x = np.repeat(token, 5, axis=1)
-    out = multi_head_attention(Tensor(x), params, num_heads=2).data
-    v = token[0, 0] @ params["v.weight"].data.T + params["v.bias"].data
-    expected = v @ params["out.weight"].data.T + params["out.bias"].data
+    out = multi_head_attention(Tensor(x), params, "attn", num_heads=2).data
+    v = token[0, 0] @ params["attn.v.weight"].data.T + params["attn.v.bias"].data
+    expected = v @ params["attn.out.weight"].data.T + params["attn.out.bias"].data
     for t in range(5):
         np.testing.assert_allclose(out[0, t], expected, rtol=1e-10)
 
@@ -139,8 +177,8 @@ def test_attention_permutation_equivariance():
     params = _attn_params(d)
     x = RNG.normal(size=(1, 6, d))
     perm = np.array([3, 1, 5, 0, 2, 4])
-    out = multi_head_attention(Tensor(x), params, num_heads=2).data
-    out_p = multi_head_attention(Tensor(x[:, perm]), params, num_heads=2).data
+    out = multi_head_attention(Tensor(x), params, "attn", num_heads=2).data
+    out_p = multi_head_attention(Tensor(x[:, perm]), params, "attn", num_heads=2).data
     np.testing.assert_allclose(out_p, out[:, perm], rtol=1e-10)
 
 
@@ -148,32 +186,33 @@ def test_attention_shape_contract():
     d = 512
     params = _attn_params(d, scale=0.02)
     x = RNG.normal(size=(1, 64, d)).astype(np.float32)
-    out = multi_head_attention(Tensor(x), params, num_heads=8)
+    out = multi_head_attention(Tensor(x), params, "attn", num_heads=8)
     assert out.data.shape == (1, 64, d)
 
 
 def _layer_param_dict(d, mlp_ratio=2):
+    """One transformer layer's parameters named under the prefix "layer"."""
     params = {}
     for nm in ("ln1", "ln2"):
-        params[f"{nm}.gamma"] = Tensor(np.ones(d))
-        params[f"{nm}.beta"] = Tensor(np.zeros(d))
+        params[f"layer.{nm}.gamma"] = Tensor(np.ones(d))
+        params[f"layer.{nm}.beta"] = Tensor(np.zeros(d))
     for n in ("q", "k", "v", "out"):
-        params[f"attn.{n}.weight"] = Tensor(RNG.normal(0, 0.2, size=(d, d)))
-        params[f"attn.{n}.bias"] = Tensor(np.zeros(d))
-    params["mlp.fc1.weight"] = Tensor(RNG.normal(0, 0.2, size=(mlp_ratio * d, d)))
-    params["mlp.fc1.bias"] = Tensor(np.zeros(mlp_ratio * d))
-    params["mlp.fc2.weight"] = Tensor(RNG.normal(0, 0.2, size=(d, mlp_ratio * d)))
-    params["mlp.fc2.bias"] = Tensor(np.zeros(d))
+        params[f"layer.attn.{n}.weight"] = Tensor(RNG.normal(0, 0.2, size=(d, d)))
+        params[f"layer.attn.{n}.bias"] = Tensor(np.zeros(d))
+    params["layer.mlp.fc1.weight"] = Tensor(RNG.normal(0, 0.2, size=(mlp_ratio * d, d)))
+    params["layer.mlp.fc1.bias"] = Tensor(np.zeros(mlp_ratio * d))
+    params["layer.mlp.fc2.weight"] = Tensor(RNG.normal(0, 0.2, size=(d, mlp_ratio * d)))
+    params["layer.mlp.fc2.bias"] = Tensor(np.zeros(d))
     return params
 
 
 def test_transformer_layer_identity_with_zero_projections():
     d = 8
     params = _layer_param_dict(d)
-    params["attn.out.weight"] = Tensor(np.zeros((d, d)))
-    params["mlp.fc2.weight"] = Tensor(np.zeros((d, 2 * d)))
+    params["layer.attn.out.weight"] = Tensor(np.zeros((d, d)))
+    params["layer.mlp.fc2.weight"] = Tensor(np.zeros((d, 2 * d)))
     x = RNG.normal(size=(2, 5, d))
-    out = transformer_layer(Tensor(x), params, num_heads=2)
+    out = transformer_layer(Tensor(x), params, "layer", num_heads=2)
     np.testing.assert_array_equal(out.data, x)
 
 
@@ -181,7 +220,7 @@ def test_transformer_layer_shape_and_finite():
     d = 8
     params = _layer_param_dict(d)
     x = RNG.normal(size=(2, 5, d))
-    out = transformer_layer(Tensor(x), params, num_heads=2)
+    out = transformer_layer(Tensor(x), params, "layer", num_heads=2)
     assert out.data.shape == (2, 5, d)
     assert np.isfinite(out.data).all()
 

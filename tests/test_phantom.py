@@ -7,6 +7,7 @@ import pytest
 
 from vesselseg.errors import MissingFile, OutOfRange, SpecInvalid
 from vesselseg.phantom import (
+    DEFAULT_INTENSITIES,
     MASK_TO_BIFURCATION,
     MASK_TO_END,
     BoneDecoy,
@@ -296,11 +297,30 @@ def test_spec_validation():
     '{"dims": [4, 32, 32], "bone_decoys": [[1, 2]]}',
     '"dims"',
     '{"dims": [4, 32, 32], "patient_id": 5}',
+    # intensities map exactly the four known keys; bone_decoys is a list of decoys
+    '{"dims": [4, 32, 32], "intensities": {"background": 40, "lumen": 350, "occluded_lumen": 45, "bone": 900, "x": 1}}',
+    '{"dims": [4, 32, 32], "intensities": null}',
+    '{"dims": [4, 32, 32], "intensities": [40, 350, 45, 900]}',
+    '{"dims": [4, 32, 32], "bone_decoys": null}',
+    '{"dims": [4, 32, 32], "bone_decoys": {"center_xy": [1, 2], "radius_px": 4, "contact_z_range": [0, 2]}}',
 ])
 def test_load_spec_raises_spec_invalid_for_a_malformed_file(tmp_path, text):
     (tmp_path / "phantom.json").write_text(text, encoding="utf-8")
     with pytest.raises(SpecInvalid, match="phantom.json"):
         load_spec(tmp_path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("intensities", None),
+    ("intensities", [40.0, 350.0, 45.0, 900.0]),
+    ("intensities", {**DEFAULT_INTENSITIES, "extra": "x"}),
+    ("bone_decoys", None),
+    ("bone_decoys", [{"center_xy": (4.0, 4.0), "radius_px": 2.0, "contact_z_range": (0, 1)}]),
+    ("bone_decoys", (BoneDecoy(center_xy=(4.0, 4.0), radius_px=2.0, contact_z_range=(0, 1)),)),
+])
+def test_spec_built_in_code_rejects_malformed_intensities_and_bone_decoys(field, value):
+    with pytest.raises(SpecInvalid, match=field):
+        PhantomSpec(dims=(2, 8, 8), **{field: value})
 
 
 def test_load_spec_errors_for_missing_and_non_utf8_files(tmp_path):

@@ -312,6 +312,24 @@ def test_cross_validate_micro():
     assert result.mean_dice == pytest.approx(np.mean([r.mean_dice for r in result.fold_reports]))
 
 
+def test_cross_validate_and_evaluate_check_every_patient_before_any_work(monkeypatch):
+    """With folds (2, 2), the first fold tests the 64² m01 among 32² patients:
+    both entry points raise DimensionMismatch before any train() or
+    segment_volume call."""
+    patients = _micro_patients(4)
+    patients[1] = _micro_patients(2, hw=64)[1]
+    ckpt, _ = train(micro_cfg(), TrainConfig(epochs=0), patients[:1])
+    calls = []
+    for name in ("train", "segment_volume"):
+        spy = lambda *a, name=name, real=getattr(training_mod, name), **k: calls.append(name) or real(*a, **k)
+        monkeypatch.setattr(training_mod, name, spy)
+    with pytest.raises(DimensionMismatch, match="m01"):
+        cross_validate(micro_cfg(), TrainConfig(epochs=1), patients, fold_sizes=(2, 2))
+    with pytest.raises(DimensionMismatch, match="m01"):
+        evaluate(ckpt, patients)
+    assert calls == []
+
+
 def test_grad_check_passes_and_reports():
     report = grad_check(tiny_config(), seed=0, n_samples=40, tol=1e-4)
     assert report["pass"], report
